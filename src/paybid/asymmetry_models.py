@@ -20,6 +20,7 @@ happens is then governed by the true population and the true tie lottery.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 from scipy import optimize, stats
 
 from .core_model import AuctionSpec, beta_from_mu, max_bids, symmetric_beta
-from .markov_engine import TwoGroupChain
+from .markov_engine import _ROW_BLOCK, TwoGroupChain
 
 __all__ = [
     "GroupProfile",
@@ -615,56 +616,28 @@ def shill_chain(spec: AuctionSpec, policy: ShillPolicy) -> ShillPhases:
 def shill_profit(spec: AuctionSpec, policy: ShillPolicy) -> ShillOutcome:
     """Auctioneer's expected extra profit from planting a shill.
 
-    Exact recurrence over (bid index, leader, shill bids placed s). Rows come
-    from the phase in force, shill_chain(...).at(s): the shill bids with
-    probability one while s < bid_budget, and the legitimate players, who
-    cannot tell it from a real rival, play the symmetric solution for the
+    Exact expected occupancy of the chain over (leader, shill bids placed s).
+    Rows come from the phase in force, shill_chain(...).at(s): the shill bids
+    with probability one while s < bid_budget, and the legitimate players,
+    who cannot tell it from a real rival, play the symmetric solution for the
     inflated population until the shill's last budgeted bid and for the true
     one afterwards. The shill's own fees and any price it "pays" are house
     money, so profit counts legitimate fees, plus the final price when a
     legitimate player wins, minus the item handed over in that case; when
     the shill wins the house keeps the item. With a zero budget or zero entry
     probability nothing changes and the extra profit is exactly zero.
+
+    A bid moves s up by one or leaves it alone, so at a fixed price, where
+    the rows do not depend on the bid index, the occupancy is one forward
+    sweep over s (_shill_by_bid_count). An ascending auction is stepped bid
+    by bid over each phase's row table until the live mass drops below
+    1e-12 (_shill_by_bid_index).
     """
     if policy.bid_budget == 0 or policy.entry_prob == 0.0:
         return ShillOutcome(0.0, 0.0, 0.0, 0.0, 0.0, notes=("shill never bids",))
     phases = shill_chain(spec, policy)
-    budget = policy.bid_budget
-    bidding = np.arange(budget + 1) < budget
-
-    def rows(q: int, leader: str) -> tuple[np.ndarray, ...]:
-        # (to_a, to_b, absorb), each indexed by the shill's placed bids
-        act = phases.active.transitions(q, leader)
-        spent = phases.spent.transitions(q, leader)
-        return tuple(np.where(bidding, a, s) for a, s in zip(act, spent))
-
-    opening = phases.active.opening_row()  # the shill bids, so absorb == 0
-    shill_leads = np.zeros(budget + 1)
-    legit_leads = np.zeros(budget + 1)
-    shill_leads[1] = opening.to_a
-    legit_leads[0] = opening.to_b
-    legit_bids = opening.to_b
-    shill_bids = opening.to_a
-    shill_wins = legit_wins = price_paid = 0.0
-    cached = None
-    t = 1
-    while (live := shill_leads.sum() + legit_leads.sum()) >= _SHILL_RESIDUAL_TOL:
-        if t > _MAX_SHILL_STEPS:
-            log.warning("shill recurrence stopped at %d bids with live mass %.3e", t, live)
-            break
-        if cached is None or spec.is_ascending:
-            cached = rows(t + 1, "A"), rows(t + 1, "B")
-        (a_to_a, a_to_b, a_absorb), (b_to_a, b_to_b, b_absorb) = cached
-        shill_wins += float(shill_leads @ a_absorb)
-        ended = float(legit_leads @ b_absorb)
-        legit_wins += ended
-        price_paid += ended * (spec.increment * t if spec.is_ascending else spec.price)
-        shill_bid = shill_leads * a_to_a + legit_leads * b_to_a
-        legit_leads = shill_leads * a_to_b + legit_leads * b_to_b
-        shill_leads = np.concatenate(([0.0], shill_bid[:-1]))
-        shill_bids += float(shill_leads.sum())
-        legit_bids += float(legit_leads.sum())
-        t += 1
+    solve = _shill_by_bid_index if spec.is_ascending else _shill_by_bid_count
+    shill_bids, legit_bids, shill_wins, legit_wins, price_paid = solve(spec, phases)
     entered_profit = spec.fee * legit_bids + price_paid - spec.value * legit_wins
     return ShillOutcome(
         expected_profit=policy.entry_prob * entered_profit,
@@ -673,6 +646,85 @@ def shill_profit(spec: AuctionSpec, policy: ShillPolicy) -> ShillOutcome:
         entered_win_prob=shill_wins,
         entered_shill_bids=shill_bids,
     )
+
+
+def _shill_by_bid_count(spec: AuctionSpec, phases: ShillPhases) -> tuple[float, ...]:
+    """Expected visits of a fixed-price shill chain, one level s at a time.
+
+    Within level s the chain only moves from a shill lead to a legitimate
+    one or stays with the legitimate players; a shill bid lifts it to s + 1.
+    So the shill-led occupancy of level s is the mass lifted into it, and the
+    legitimate-led occupancy solves one geometric series on top of that.
+    Returns (shill bids, legitimate bids, shill wins, legitimate wins, price
+    paid by legitimate winners).
+    """
+    opening = phases.active.opening_row()  # the shill bids, so absorb == 0
+    active, spent = ((chain.transitions(2, "A"), chain.transitions(2, "B"))
+                     for chain in (phases.active, phases.spent))
+    shill_bids = legit_bids = shill_wins = legit_wins = 0.0
+    lifted = 0.0
+    for s in range(phases.bid_budget + 1):
+        a_row, b_row = active if s < phases.bid_budget else spent
+        shill_leads = lifted + (opening.to_a if s == 1 else 0.0)
+        from_below = opening.to_b if s == 0 else 0.0
+        legit_leads = (from_below + shill_leads * a_row.to_b) / (1.0 - b_row.to_b)
+        shill_bids += shill_leads
+        legit_bids += legit_leads
+        shill_wins += shill_leads * a_row.absorb
+        legit_wins += legit_leads * b_row.absorb
+        lifted = shill_leads * a_row.to_a + legit_leads * b_row.to_a
+    return shill_bids, legit_bids, shill_wins, legit_wins, legit_wins * spec.price
+
+
+def _shill_by_bid_index(spec: AuctionSpec, phases: ShillPhases) -> tuple[float, ...]:
+    """Occupancy of an ascending shill chain, stepped bid by bid.
+
+    The state vectors are indexed by s. Rows are read from the two phases'
+    row tables, merged once per table block: the active phase's row for s <
+    bid_budget and the spent phase's for s = bid_budget. Returns the same
+    tuple as _shill_by_bid_count.
+    """
+    budget = phases.bid_budget
+    bidding = np.arange(budget + 1) < budget
+    block = min(int(max_bids(spec)) + 1, _ROW_BLOCK)
+
+    def rows(leader: str):
+        # per bid index q = 2, 3, ...: (to_a, to_b, absorb), each indexed by s
+        for q in itertools.count(2, block):
+            active = phases.active.row_table(leader, q, q + block)
+            spent = phases.spent.row_table(leader, q, q + block)
+            yield from zip(*(np.where(bidding, a[:, None], z[:, None])
+                             for a, z in zip(active, spent)))
+
+    opening = phases.active.opening_row()  # the shill bids, so absorb == 0
+    shill_leads = np.zeros(budget + 1)
+    legit_leads = np.zeros(budget + 1)
+    shill_leads[1] = opening.to_a
+    legit_leads[0] = opening.to_b
+    legit_bids = opening.to_b
+    shill_bids = opening.to_a
+    live = opening.to_a + opening.to_b
+    shill_wins = legit_wins = price_paid = 0.0
+    t = 1
+    for (a_to_a, a_to_b, a_absorb), (b_to_a, b_to_b, b_absorb) in zip(rows("A"), rows("B")):
+        if live < _SHILL_RESIDUAL_TOL:
+            break
+        if t > _MAX_SHILL_STEPS:
+            log.warning("shill recurrence stopped at %d bids with live mass %.3e", t, live)
+            break
+        shill_wins += float(shill_leads @ a_absorb)
+        ended = float(legit_leads @ b_absorb)
+        legit_wins += ended
+        price_paid += ended * (spec.increment * t)
+        shill_bid = shill_leads * a_to_a + legit_leads * b_to_a
+        legit_leads = shill_leads * a_to_b + legit_leads * b_to_b
+        shill_leads[1:] = shill_bid[:-1]  # entry 0 stays 0: a shill lead means a placed bid
+        placed, legit = float(shill_leads.sum()), float(legit_leads.sum())
+        shill_bids += placed
+        legit_bids += legit
+        live = placed + legit
+        t += 1
+    return shill_bids, legit_bids, shill_wins, legit_wins, price_paid
 
 
 # ---------------------------------------------------------------------------
@@ -717,57 +769,140 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
     price; winning paths cost strictly less, so the loss never exceeds
     (multiplier - 1) * v.
 
+    A bid moves c up by one or leaves it alone. At a fixed price the rows and
+    the stop rule do not depend on t, so the expected occupancy of each
+    (leader, c) is one forward sweep over c, and a second sweep gives the
+    sums of t times the occupancy that the t-dependent payoffs need
+    (_committed_by_bid_count). An ascending auction is stepped bid by bid
+    until the live mass drops below 1e-15, with its per-bid scalars computed
+    once per bid index up front (_committed_by_bid_index).
+
     With multiplier <= 1 the backstop already beats the auction and committed
     play is vacuous; both profits are reported as zero with a note.
     """
     alpha = policy.retail_multiplier
-    v = spec.value
-    b = spec.fee
-    retail = alpha * v
     if alpha <= 1.0:
         return CommittedOutcome(0.0, 0.0, 0.0, 0.0,
                                 notes=("backstop at or below the item value, nothing to commit to",))
-    n = spec.population
-    fee_c = float(spec.fee_cents)
     retail_c = alpha * spec.value_cents
-    if spec.is_ascending:
-        inc_c = float(spec.increment_cents)
-
-        def price_at(t: int) -> float:
-            return spec.increment * t
-    else:
-        inc_c = 0.0
-
-        def price_at(t: int) -> float:
-            return spec.price
-
-    def stop_rule_allows(cs: np.ndarray, t: int) -> np.ndarray:
-        # Bid q = t+1 as the (c+1)-th own bid wins at price_at(t+1); keep
-        # bidding only while that outlay stays strictly below retail. Cents
-        # arithmetic keeps the comparison exact.
-        price_now_c = inc_c * (t + 1) if spec.is_ascending else float(spec.price_cents)
-        return (cs + 1.0) * fee_c + price_now_c < retail_c
-
-    if not stop_rule_allows(np.zeros(1), 0)[0]:
+    price_c = spec.increment_cents if spec.is_ascending else spec.price_cents
+    # Stop rule: bid q = t+1 as the (c+1)-th own bid wins at the price after
+    # that bid; keep bidding only while that outlay stays strictly below
+    # retail. Cents arithmetic keeps the comparison exact.
+    if not spec.fee_cents + price_c < retail_c:
         return CommittedOutcome(0.0, 0.0, 0.0, 0.0,
                                 notes=("even one bid would overshoot the retail backstop",))
+    solve = _committed_by_bid_index if spec.is_ascending else _committed_by_bid_count
+    player, auctioneer, win_committed, expected_bids = solve(spec, alpha)
+    return CommittedOutcome(
+        player_profit=player,
+        auctioneer_profit=auctioneer,
+        committed_win_prob=win_committed,
+        expected_total_bids=expected_bids,
+        notes=(),
+    )
 
-    def mean_inv_one_plus(eligible: int, beta: float) -> float:
-        # E[1 / (1 + J)] with J ~ Binomial(eligible, beta): the committed
-        # player's chance of winning the tie lottery against J challengers.
-        if eligible <= 0:
-            return 1.0
-        js = np.arange(eligible + 1)
-        pmf = stats.binom.pmf(js, eligible, beta)
-        return float(np.sum(pmf / (1.0 + js)))
+
+def _mean_inv_one_plus(eligible: int, betas: Sequence[float]) -> list[float]:
+    """E[1 / (1 + J)] with J ~ Binomial(eligible, beta), one value per beta:
+    the committed player's chance of winning the tie lottery against J
+    challengers."""
+    if eligible <= 0:
+        return [1.0] * len(betas)
+    js = np.arange(eligible + 1)
+    shares = []
+    for start in range(0, len(betas), _ROW_BLOCK):  # bounds the pmf matrix
+        chunk = np.asarray(betas[start:start + _ROW_BLOCK], dtype=float)
+        weighted = stats.binom.pmf(js[None, :], eligible, chunk[:, None])
+        weighted /= 1.0 + js
+        shares.extend(float(np.sum(row)) for row in weighted)
+    return shares
+
+
+def _committed_by_bid_count(spec: AuctionSpec, alpha: float) -> tuple[float, ...]:
+    """Fixed-price committed model as two forward sweeps over c.
+
+    Level c holds (committed leads, c) and (regular leads, c). The first is
+    entered only from level c - 1, when the committed player wins the
+    lottery, and the second only from the first (or from the opening bid at
+    c = 0), so with x the opening distribution and P the transient kernel the
+    occupancy N = x (I - P)^-1 comes out level by level. The time-weighted
+    occupancy M = sum_t t x_t solves M (I - P) = N, the same sweep with N as
+    its source. Returns (player profit, auctioneer profit, committed win
+    probability, expected total bids).
+    """
+    n = spec.population
+    v, b, price = spec.value, spec.fee, spec.price
+    retail = alpha * v
+    # the stop rule depends on c alone: c_stop is the first own-bid count at
+    # which the committed player no longer bids
+    c_stop = 0
+    while (c_stop + 1) * spec.fee_cents + spec.price_cents < alpha * spec.value_cents:
+        c_stop += 1
+    share_first = _mean_inv_one_plus(n - 1, [symmetric_beta(spec, 1)])[0]
+    beta = symmetric_beta(spec, 2, first_bid=False)
+    absorb_led = (1.0 - beta) ** (n - 1)    # no regular rebids over the committed player
+    absorb_other = (1.0 - beta) ** (n - 2)  # no regular bids over a regular
+    share = _mean_inv_one_plus(n - 2, [beta])[0]
+    player = auctioneer = win_committed = expected_bids = 0.0
+    lifted_n = lifted_m = 0.0  # occupancy and time-weighted occupancy entering the next level
+    for c in range(c_stop + 1):
+        bidding = c < c_stop
+        leaves_other = share if bidding else absorb_other
+        led_n = lifted_n + (share_first if c == 1 else 0.0)
+        opened = 1.0 - share_first if c == 0 else 0.0
+        other_n = (opened + led_n * (1.0 - absorb_led)) / leaves_other
+        led_m = lifted_m + led_n
+        other_m = (other_n + led_m * (1.0 - absorb_led)) / leaves_other
+        won_n, won_m = led_n * absorb_led, led_m * absorb_led
+        player += won_n * (v - c * b - price)
+        auctioneer += b * won_m + (price - v) * won_n
+        win_committed += won_n
+        expected_bids += won_m
+        if bidding:
+            lifted_n, lifted_m = other_n * share, other_m * share
+        else:
+            # Fee credit tops the player up to exactly the retail price; the
+            # auctioneer sells a second item at retail minus that credit.
+            lost_n, lost_m = other_n * absorb_other, other_m * absorb_other
+            player += lost_n * (v - retail)
+            auctioneer += b * lost_m + lost_n * (price - v + (retail - c * b) - v)
+            expected_bids += lost_m
+    return player, auctioneer, win_committed, expected_bids
+
+
+def _committed_by_bid_index(spec: AuctionSpec, alpha: float) -> tuple[float, ...]:
+    """Ascending committed model stepped bid by bid over c-indexed vectors.
+
+    The regulars' probability, the two absorption probabilities and the
+    committed player's lottery share depend on the bid index alone, so they
+    are computed once per index for the whole rational range up front; past
+    it the regulars never bid. Returns the same tuple as
+    _committed_by_bid_count.
+    """
+    n = spec.population
+    v = spec.value
+    b = spec.fee
+    retail = alpha * v
+    fee_c = float(spec.fee_cents)
+    retail_c = alpha * spec.value_cents
+    inc_c = float(spec.increment_cents)
+
+    # per bid index q = t + 1 for t = 1 .. Q: P(no regular rebids over the
+    # committed player), P(no regular bids over a regular), and the committed
+    # player's lottery share against n - 2 regulars
+    betas = [symmetric_beta(spec, q, first_bid=False) for q in range(2, int(max_bids(spec)) + 2)]
+    per_bid = list(zip([(1.0 - beta) ** (n - 1) for beta in betas],
+                       [(1.0 - beta) ** (n - 2) for beta in betas],
+                       _mean_inv_one_plus(n - 2, betas)))
+    regulars_silent = (1.0, 1.0, 1.0)
 
     c_cap = int(math.ceil(retail_c / fee_c)) + 2
     cs = np.arange(c_cap, dtype=float)
     p_led = np.zeros(c_cap)      # committed player leads, indexed by own bids
     p_other = np.zeros(c_cap)    # a regular leads
 
-    beta1 = symmetric_beta(spec, 1)
-    share_first = mean_inv_one_plus(n - 1, beta1)
+    share_first = _mean_inv_one_plus(n - 1, [symmetric_beta(spec, 1)])[0]
     p_led[1] = share_first
     p_other[0] = 1.0 - share_first
 
@@ -779,25 +914,20 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
     hard_cap = 10_000_000
     remaining = 1.0
     while t < hard_cap:
-        try:
-            beta = symmetric_beta(spec, t + 1, first_bid=False)
-        except ValueError:
-            beta = 0.0
+        absorb_led, absorb_other, share = per_bid[t - 1] if t <= len(per_bid) else regulars_silent
+        price = spec.increment * t
         # Committed player leads with c own bids: the n-1 regulars may rebid.
-        absorb_led = (1.0 - beta) ** (n - 1)
         won = p_led * absorb_led
         win_mass = float(np.sum(won))
         if win_mass > 0.0:
-            player += float(np.sum(won * (v - cs * b - price_at(t))))
-            auctioneer += win_mass * (b * t + price_at(t) - v)
+            player += float(np.sum(won * (v - cs * b - price)))
+            auctioneer += win_mass * (b * t + price - v)
             win_committed += win_mass
             expected_bids += t * win_mass
         flow_led_to_other = p_led * (1.0 - absorb_led)
         # A regular leads: the committed player joins the lottery only while
         # the stop rule allows, against n-2 regular challengers.
-        allows = stop_rule_allows(cs, t)
-        absorb_other = (1.0 - beta) ** (n - 2)
-        share = mean_inv_one_plus(n - 2, beta)
+        allows = (cs + 1.0) * fee_c + inc_c * (t + 1) < retail_c
         blocked = p_other * (~allows)
         lost = blocked * absorb_other
         lost_mass = float(np.sum(lost))
@@ -805,7 +935,7 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
             # Fee credit tops the player up to exactly the retail price; the
             # auctioneer sells a second item at retail minus that credit.
             player += lost_mass * (v - retail)
-            auctioneer += float(np.sum(lost * (b * t + price_at(t) - v + (retail - cs * b) - v)))
+            auctioneer += float(np.sum(lost * (b * t + price - v + (retail - cs * b) - v)))
             expected_bids += t * lost_mass
         active = p_other * allows
         to_led = active * share
@@ -822,14 +952,7 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
             break
     if remaining >= 1e-12:
         log.warning("committed-player recursion stopped with live mass %.3e", remaining)
-
-    return CommittedOutcome(
-        player_profit=player,
-        auctioneer_profit=auctioneer,
-        committed_win_prob=win_committed,
-        expected_total_bids=expected_bids,
-        notes=(),
-    )
+    return player, auctioneer, win_committed, expected_bids
 
 
 # ---------------------------------------------------------------------------

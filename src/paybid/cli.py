@@ -521,9 +521,10 @@ def _load_outcomes(args) -> tuple:
 
 
 def _load_traces(args) -> tuple:
-    """Returns ({auction_id: bids}, skipped) keeping only complete traces."""
+    """Returns ({auction_id: bids}, skip counts) keeping only complete,
+    consistent traces; the counts are meta keys of the report."""
     histories = {}
-    skipped = []
+    incomplete = inconsistent = 0
     for path in args.traces or []:
         stem = Path(path).stem
         try:
@@ -532,12 +533,17 @@ def _load_traces(args) -> tuple:
             raise SystemExit(f"trace file name must be the auction id, got {stem!r}")
         with open(path, encoding="utf-8") as handle:
             probes = parse_trace_file(handle)
-        bids, missing = reconstruct_bids(probes)
+        try:
+            bids, missing = reconstruct_bids(probes)
+        except ValueError:
+            inconsistent += 1
+            continue
         if missing > 0 or not bids:
-            skipped.append({"auction_id": auction_id, "missing": missing})
+            incomplete += 1
             continue
         histories[auction_id] = bids
-    return histories, skipped
+    return histories, {"traces_skipped_incomplete": incomplete,
+                       "traces_skipped_inconsistent": inconsistent}
 
 
 def run_trace_report(args) -> None:
@@ -556,7 +562,7 @@ def run_trace_report(args) -> None:
                     row_errors=len(report.errors))
     elif args.report in ("aggression", "duels", "active"):
         histories, skipped = _load_traces(args)
-        meta["traces_skipped_incomplete"] = len(skipped)
+        meta.update(skipped)
         if args.report == "aggression":
             stats_by_auction = {}
             for auction_id, bids in sorted(histories.items()):
@@ -614,7 +620,7 @@ def run_trace_report(args) -> None:
                 meta[f"mean_fraction_at_{int(o)}s"] = total / count if count else math.nan
     elif args.report == "bidpacks":
         histories, skipped = _load_traces(args)
-        meta["traces_skipped_incomplete"] = len(skipped)
+        meta.update(skipped)
         report = bidpack_cost(records, traces=histories or None,
                               assumed_bidfee_cents=args.fee)
         rows = [{"username": b.username, "packs_won": b.packs_won,

@@ -20,21 +20,30 @@ the uniform rule with the eligible A count forced to one.
 Bid probabilities are callables beta(q, leader) so that ascending auctions,
 where the amount at stake shrinks with the bid index q, fit the same engine.
 leader is "A", "B", or None for the opening bid.
+
+Rows are tabulated: TwoGroupChain.row_table calls the beta callables once per
+bid index of a range and builds every row of that range in one vectorized
+pass of the lottery, and build_transitions is its one-row case. A
+time-homogeneous chain needs one row per leader; evolve_recurrence reads
+that row, or for any other chain a table covering its whole horizon, and
+steps over plain floats.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "BetaFn",
     "TransitionRow",
+    "RowTable",
     "TwoGroupChain",
     "AbsorptionSummary",
     "OccupancySeries",
@@ -51,6 +60,7 @@ log = logging.getLogger(__name__)
 BetaFn = Callable[[int, Optional[str]], float]
 
 _TIE_RULES = ("uniform", "single_ticket")
+_ROW_BLOCK = 1024  # bid indices per row-table block when no horizon bounds the chain
 
 
 class TransitionRow(NamedTuple):
@@ -61,76 +71,87 @@ class TransitionRow(NamedTuple):
     absorb: float
 
 
+class RowTable(NamedTuple):
+    """Rows out of one leader's state for the bid indices q_start <= q <
+    q_stop of TwoGroupChain.row_table; entry r belongs to q_start + r."""
+
+    to_a: np.ndarray
+    to_b: np.ndarray
+    absorb: np.ndarray
+
+
 class NonAbsorbingChainError(ValueError):
     """Raised when the chain cannot reach an absorbing state."""
 
 
-def _check_prob(name: str, x: float) -> float:
-    if not (0.0 <= x <= 1.0) or math.isnan(x):
-        raise ValueError(f"{name} must be a probability in [0, 1], got {x}")
-    return float(x)
+def _check_probs(name: str, values: Sequence[float]) -> np.ndarray:
+    for x in values:
+        if not 0.0 <= x <= 1.0:  # NaN fails the comparison too
+            raise ValueError(f"{name} must be a probability in [0, 1], got {x}")
+    return np.array(values, dtype=float)
 
 
 @lru_cache(maxsize=256)
-def _log_binom_coefs(n: int) -> np.ndarray:
-    coefs = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
-    coefs.setflags(write=False)  # shared by every caller through the cache
-    return coefs
+def _binom_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log C(n, k), k and n - k for k = 0..n."""
+    k = np.arange(n + 1, dtype=float)
+    terms = (np.array([math.log(math.comb(n, j)) for j in range(n + 1)]), k, n - k)
+    for term in terms:
+        term.setflags(write=False)  # shared by every caller through the cache
+    return terms
 
 
-def _binom_pmf(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) probabilities of 0..n successes.
+def _binom_pmfs(n: int, ps: np.ndarray) -> np.ndarray:
+    """Binomial(n, p) probabilities of 0..n successes, one row per p in ps.
 
     Every term is exp(log C(n, k) + k log p + (n - k) log1p(-p)), so no
     intermediate can overflow and a subnormal p simply underflows the k >= 1
     terms to zero. The endpoints p = 0 and p = 1 are point masses.
     """
-    out = np.zeros(n + 1)
-    if p <= 0.0:
-        out[0] = 1.0
-    elif p >= 1.0:
-        out[n] = 1.0
-    else:
-        k = np.arange(n + 1, dtype=float)
-        out = np.exp(_log_binom_coefs(n) + k * math.log(p) + (n - k) * math.log1p(-p))
+    log_coefs, k, rest = _binom_terms(n)
+    inner = (ps > 0.0) & (ps < 1.0)
+    p = np.where(inner, ps, 0.5)[:, None]  # endpoint rows are overwritten below
+    out = np.exp(log_coefs + k * np.log(p) + rest * np.log1p(-p))
+    if not inner.all():
+        out[~inner] = 0.0
+        out[ps <= 0.0, 0] = 1.0
+        out[ps >= 1.0, n] = 1.0
     return out
 
 
-def _lottery_row(elig_a: int, elig_b: int, beta_a: float, beta_b: float) -> TransitionRow:
-    """Transition row for elig_a + elig_b independent coins and a uniform draw.
+@lru_cache(maxsize=256)
+def _share_grids(elig_a: int, elig_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """i / (i + j) and j / (i + j) over i A heads and j B heads, 0 at (0, 0)."""
+    i = np.arange(elig_a + 1, dtype=float)[:, None]
+    j = np.arange(elig_b + 1, dtype=float)[None, :]
+    total = i + j
+    total[0, 0] = 1.0  # avoid 0/0; the (0,0) cell is the absorbing event
+    grids = (i / total, j / total)
+    for grid in grids:
+        grid.setflags(write=False)  # shared by every caller through the cache
+    return grids
+
+
+def _lottery_rows(elig_a: int, elig_b: int, betas_a: np.ndarray,
+                  betas_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(to_a, to_b, absorb) for elig_a + elig_b independent coins and a
+    uniform draw, one entry per pair (betas_a[r], betas_b[r]).
 
     With i heads from A and j from B the bid goes to group A with probability
     i / (i + j). The no-head event absorbs. Expectations are taken over the
-    two independent binomials on a small pmf grid.
+    two independent binomials: with pmf matrices P_A and P_B (one row per
+    pair) and the fixed grid F_A[i, j] = i / (i + j), to_a is the row sum of
+    (P_A @ F_A) * P_B, so no rows x elig_a x elig_b temporary is built. The
+    absorbing cell is P_A[:, 0] * P_B[:, 0], where each factor is the closed
+    form (1 - beta)^elig taken in log space (1 for a group with no eligible
+    member, whatever its probability).
     """
-    beta_a = _check_prob("beta_a", beta_a)
-    beta_b = _check_prob("beta_b", beta_b)
-    pa = _binom_pmf(elig_a, beta_a)
-    pb = _binom_pmf(elig_b, beta_b)
-    i = np.arange(len(pa), dtype=float)[:, None]
-    j = np.arange(len(pb), dtype=float)[None, :]
-    joint = pa[:, None] * pb[None, :]
-    total = i + j
-    total[0, 0] = 1.0  # avoid 0/0; the (0,0) cell is the absorbing event
-    frac_a = i / total
-    frac_b = j / total
-    frac_a[0, 0] = 0.0
-    frac_b[0, 0] = 0.0
-    to_a = float(np.sum(joint * frac_a))
-    to_b = float(np.sum(joint * frac_b))
-    # Closed form for P(no bid); more accurate than the pmf grid cell. A
-    # group with no eligible members cannot block absorption no matter its
-    # probability.
-    log_absorb = 0.0
-    certain_bid = False
-    for elig, beta in ((elig_a, beta_a), (elig_b, beta_b)):
-        if elig > 0:
-            if beta >= 1.0:
-                certain_bid = True
-            else:
-                log_absorb += elig * math.log1p(-beta)
-    absorb = 0.0 if certain_bid else math.exp(log_absorb)
-    return TransitionRow(to_a=to_a, to_b=to_b, absorb=absorb)
+    pa = _binom_pmfs(elig_a, betas_a)
+    pb = _binom_pmfs(elig_b, betas_b)
+    frac_a, frac_b = _share_grids(elig_a, elig_b)
+    to_a = ((pa @ frac_a) * pb).sum(1)
+    to_b = ((pa @ frac_b) * pb).sum(1)
+    return to_a, to_b, pa[:, 0] * pb[:, 0]
 
 
 def _eligible_counts(k_a: int, k_b: int, leader: Optional[str], tie_rule: str) -> tuple[int, int]:
@@ -163,15 +184,17 @@ def build_transitions(
 
     k_a and k_b are the group sizes. beta_a / beta_b may be plain floats or
     callables of (q, leader). The leader's own group loses one eligible coin.
+    This is the one-row case of TwoGroupChain.row_table.
     """
     if tie_rule not in _TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}, expected one of {_TIE_RULES}")
     if k_a < 0 or k_b < 0 or k_a + k_b < 1:
         raise ValueError("group sizes must be nonnegative and not both zero")
-    ba = beta_a(q, leader) if callable(beta_a) else beta_a
-    bb = beta_b(q, leader) if callable(beta_b) else beta_b
+    ba = _check_probs("beta_a", [beta_a(q, leader) if callable(beta_a) else beta_a])
+    bb = _check_probs("beta_b", [beta_b(q, leader) if callable(beta_b) else beta_b])
     elig_a, elig_b = _eligible_counts(k_a, k_b, leader, tie_rule)
-    return _lottery_row(elig_a, elig_b, ba, bb)
+    to_a, to_b, absorb = _lottery_rows(elig_a, elig_b, ba, bb)
+    return TransitionRow(to_a=float(to_a[0]), to_b=float(to_b[0]), absorb=float(absorb[0]))
 
 
 @dataclass
@@ -226,6 +249,19 @@ class TwoGroupChain:
             q=q,
             leader=leader,
         )
+
+    def row_table(self, leader: str, q_start: int, q_stop: int) -> RowTable:
+        """Rows out of `leader`'s state for every bid index q_start <= q < q_stop.
+
+        Each beta closure is called once per q; all rows then come out of one
+        vectorized pass of the lottery (see _lottery_rows).
+        """
+        qs = range(q_start, q_stop)
+        betas_a = _check_probs("beta_a", [self.beta_a(q, leader) for q in qs])
+        betas_b = _check_probs("beta_b", [self.beta_b(q, leader) for q in qs])
+        elig_a, elig_b = _eligible_counts(self.group_a_size, self.group_b_size, leader,
+                                          self.tie_rule)
+        return RowTable(*_lottery_rows(elig_a, elig_b, betas_a, betas_b))
 
     def opening_row(self) -> TransitionRow:
         """Outcome split of the opening bid: (goes to A, goes to B, no bid)."""
@@ -360,6 +396,24 @@ class OccupancySeries:
 _MAX_STEPS = 10_000_000
 
 
+def _rows_by_step(chain: TwoGroupChain, leader: str,
+                  block: int) -> Iterator[tuple[float, float, float]]:
+    """(to_a, to_b, absorb) out of `leader`'s state at q = 2, 3, ... as floats.
+
+    A group with no members never leads, so its rows just absorb. A
+    time-homogeneous chain repeats its one row; any other chain reads row
+    tables of `block` bid indices each.
+    """
+    if (chain.group_a_size if leader == "A" else chain.group_b_size) == 0:
+        yield from itertools.repeat((0.0, 0.0, 1.0))
+    elif chain.time_homogeneous:
+        yield from itertools.repeat(tuple(chain.transitions(2, leader)))
+    else:
+        for q in itertools.count(2, block):
+            table = chain.row_table(leader, q, q + block)
+            yield from zip(table.to_a.tolist(), table.to_b.tolist(), table.absorb.tolist())
+
+
 def evolve_recurrence(
     chain: TwoGroupChain,
     horizon: Optional[int] = None,
@@ -372,46 +426,37 @@ def evolve_recurrence(
         end_X(t) = P_X(t) * row_X.absorb(q = t+1)
 
     Iteration stops at the horizon (chain's own, or the argument), or when the
-    live mass drops below residual_tol, or after max_steps. For fixed-price
-    chains the rows are evaluated once and reused.
+    live mass drops below residual_tol, or after max_steps. A
+    time-homogeneous chain has one row per leader; any other chain reads a
+    row table built for the whole horizon at once (in blocks of _ROW_BLOCK
+    bid indices when there is none). Each step is plain float arithmetic.
     """
     if horizon is None:
         horizon = chain.horizon
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
     start = first_bid_distribution(chain, conditioned=True)
-    p_now = np.array(start, dtype=float)
+    p_a, p_b = float(start[0]), float(start[1])
     p_a_hist: list[float] = []
     p_b_hist: list[float] = []
     end_a_hist: list[float] = []
     end_b_hist: list[float] = []
     max_err = 0.0
     ended = 0.0
-    cached_rows = None
+    block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
+    rows = zip(_rows_by_step(chain, "A", block), _rows_by_step(chain, "B", block))
     t = 1
-    while True:
-        p_a_hist.append(p_now[0])
-        p_b_hist.append(p_now[1])
-        q_next = t + 1
-        if chain.time_homogeneous and cached_rows is not None:
-            row_a, row_b = cached_rows
-        else:
-            row_a = chain.transitions(q_next, "A") if chain.group_a_size > 0 else TransitionRow(0.0, 0.0, 1.0)
-            row_b = chain.transitions(q_next, "B") if chain.group_b_size > 0 else TransitionRow(0.0, 0.0, 1.0)
-            if chain.time_homogeneous:
-                cached_rows = (row_a, row_b)
-        e_a = p_now[0] * row_a.absorb
-        e_b = p_now[1] * row_b.absorb
+    for (a_to_a, a_to_b, a_absorb), (b_to_a, b_to_b, b_absorb) in rows:
+        p_a_hist.append(p_a)
+        p_b_hist.append(p_b)
+        e_a = p_a * a_absorb
+        e_b = p_b * b_absorb
         end_a_hist.append(e_a)
         end_b_hist.append(e_b)
         ended += e_a + e_b
-        p_next = np.array([
-            p_now[0] * row_a.to_a + p_now[1] * row_b.to_a,
-            p_now[0] * row_a.to_b + p_now[1] * row_b.to_b,
-        ])
-        max_err = max(max_err, abs(ended + p_next.sum() - 1.0))
-        p_now = p_next
-        live = p_now.sum()
+        p_a, p_b = p_a * a_to_a + p_b * b_to_a, p_a * a_to_b + p_b * b_to_b
+        live = p_a + p_b
+        max_err = max(max_err, abs(ended + live - 1.0))
         t += 1
         if horizon is not None and t > horizon:
             break
@@ -429,7 +474,7 @@ def evolve_recurrence(
         p_b=np.array(p_b_hist),
         end_a=np.array(end_a_hist),
         end_b=np.array(end_b_hist),
-        residual=float(p_now.sum()),
+        residual=p_a + p_b,
         max_conservation_error=max_err,
         chain=chain,
     )

@@ -478,7 +478,6 @@ def simulate_committed(spec: AuctionSpec, retail_multiplier: float, trials: int,
             beta = 0.0
         idx = np.flatnonzero(active)
         lc = leader_c[idx]
-        cc = c[idx]
 
         led = idx[lc]
         if led.size:

@@ -133,10 +133,13 @@ def parse_outcome_rows(
 
     diagnostics, when given, receives one message per rejected row. Without
     it rejects are logged as warnings. A short row, a non-numeric amount, or
-    a bad flag rejects only that row, never the whole file.
+    a bad flag rejects only that row, never the whole file. Tab-separated
+    rows are read without CSV quoting, so a field keeps any double quotes it
+    holds; comma-separated rows follow CSV quoting.
     """
     records = []
-    reader = csv.reader(lines, delimiter=delimiter)
+    quoting = csv.QUOTE_NONE if delimiter == "\t" else csv.QUOTE_MINIMAL
+    reader = csv.reader(lines, delimiter=delimiter, quoting=quoting)
     for lineno, row in enumerate(reader, start=1):
         if has_header and lineno == 1:
             continue
@@ -194,12 +197,6 @@ def _parse_bh(raw: str) -> tuple:
     return tuple(bids)
 
 
-def _render_bh(bids: Sequence[BidEvent]) -> str:
-    return "".join(
-        f"{b.bidnumber}:{b.username}:{b.bidtype}:{b.price_cents}:{b.yourbid}:#" for b in bids
-    )
-
-
 @dataclass(frozen=True)
 class ProbeLine:
     """One status probe: ordered raw key=value pairs plus typed views.
@@ -223,33 +220,6 @@ class ProbeLine:
 
     def serialize(self) -> str:
         return "|".join(f"{k}={v}" for k, v in self.entries)
-
-    @classmethod
-    def build(cls, ct=None, cs=None, ra=None, cw=None, cp=None,
-              bids: Sequence[BidEvent] = (), lui: Optional[Sequence[int]] = None,
-              observed_at: Optional[float] = None) -> "ProbeLine":
-        """Assemble a probe from typed values with the canonical key order."""
-        entries = []
-        if ct is not None:
-            entries.append(("ct", str(ct)))
-        if cs is not None:
-            entries.append(("cs", str(cs)))
-        if ra is not None:
-            entries.append(("ra", str(ra)))
-        if cw is not None:
-            entries.append(("cw", cw))
-        if cp is not None:
-            entries.append(("cp", str(cp)))
-        entries.append(("bh", _render_bh(bids)))
-        if lui is not None:
-            entries.append(("lui", "#".join(str(x) for x in lui)))
-        stamped = tuple(
-            BidEvent(b.bidnumber, b.username, b.bidtype, b.price_cents, b.yourbid, observed_at)
-            for b in bids
-        )
-        return cls(entries=tuple(entries), observed_at=observed_at, ct=ct, cs=cs,
-                   ra=ra, cw=cw, cp=cp, bids=stamped,
-                   lui=tuple(lui) if lui is not None else None)
 
 
 def parse_probe_line(line: str, observed_at: Optional[float] = None) -> ProbeLine:

@@ -377,6 +377,26 @@ def test_shill_single_bid_budget_changes_nothing():
         assert out.expected_profit == pytest.approx(profit, rel=1e-9), spec
 
 
+# (budget, identities) -> (expected_profit, entered_shill_bids, win_prob_shill)
+# on the fixed-price default, from the bid-by-bid recurrence the level sweep
+# replaced (it stepped the live mass down to 1e-12)
+SHILL_FIXED_PRICE = {
+    (5, 1): (20.780405888772805, 4.900995010000006, 0.04814827797688938),
+    (5, 2): (16.89992509425332, 5.000000000000029, 0.009102981779915342),
+    (10, 1): (41.4925098786572, 9.561792499119575, 0.09479848337584129),
+    (10, 2): (33.81730140779082, 10.00000000000015, 0.00910298177991548),
+    (50, 1): (174.53212427043337, 39.499393286246686, 0.39444574956399764),
+    (50, 2): (169.15631191609745, 50.00000000000361, 0.00910298177991654),
+}
+
+
+def test_shill_fixed_price_frozen_values():
+    for (budget, identities), expected in SHILL_FIXED_PRICE.items():
+        out = shill_profit(FIX, ShillPolicy(1.0, budget, identities))
+        got = (out.expected_profit, out.entered_shill_bids, out.win_prob_shill)
+        assert got == pytest.approx(expected, rel=1e-9), (budget, identities)
+
+
 def test_shill_double_identity_frozen():
     out = shill_profit(ASC, ShillPolicy(1.0, 10, identities=2))
     assert out.expected_profit == pytest.approx(33.30425359843758, rel=1e-9)
@@ -430,6 +450,24 @@ def test_committed_tiny_case_frozen():
     assert out.auctioneer_profit == pytest.approx(3.7437432715726, rel=1e-10)
     assert out.committed_win_prob == pytest.approx(0.9024690354565534, rel=1e-10)
     assert out.expected_total_bids == pytest.approx(6.823106153514576, rel=1e-10)
+
+
+# alpha -> (player_profit, auctioneer_profit, committed_win_prob,
+# expected_total_bids) on the fixed-price default, from the bid-by-bid
+# recurrence the level sweeps replaced (it stepped the live mass down to 1e-15)
+COMMITTED_FIXED_PRICE = {
+    1.1: (33.10330883210144, 258.4207024151209, 0.6656231431100846, 391.5240112472192),
+    1.55: (21.05984461967329, 325.5659225204201, 0.787274296770978, 446.6257671400915),
+    2.0: (13.397967485796814, 368.2827370099754, 0.8646669950929607, 481.68070449576913),
+}
+
+
+def test_committed_fixed_price_frozen_values():
+    for alpha, expected in COMMITTED_FIXED_PRICE.items():
+        out = committed_player_profit(FIX, CommittedPolicy(alpha))
+        got = (out.player_profit, out.auctioneer_profit, out.committed_win_prob,
+               out.expected_total_bids)
+        assert got == pytest.approx(expected, rel=1e-9), alpha
 
 
 def test_committed_defaults_auctioneer_grows_with_backstop():

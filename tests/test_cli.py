@@ -311,8 +311,33 @@ def test_trace_duels_report_and_incomplete_trace(tmp_path):
                        "last_bidder": "y", "other_bidder": "x"}
     meta = meta_lines(text)
     assert meta["traces_skipped_incomplete"] == "1"
+    assert meta["traces_skipped_inconsistent"] == "0"
     assert meta["auctions_scanned"] == "1"
     assert meta["max_duel_length"] == "14"
+
+
+def test_trace_inconsistent_trace_is_skipped_and_counted(tmp_path):
+    alternating = [("x" if i % 2 == 0 else "y", 6 * (i + 1)) for i in range(14)]
+    good = write_trace(tmp_path, 202, alternating)
+    # bid 3 first shows up after bids 5 and 6 were seen: no order of the
+    # bids fits both probes, so the trace cannot be reconstructed
+    bad = tmp_path / "1.trace"
+    bad.write_text(
+        "1700000000\tct=1|cs=1|bh=5:a:1:30:0:#6:b:1:36:0:#|lui=0#0#0#0\n"
+        "1700000001\tct=1|cs=1|bh=3:c:1:18:0:#|lui=0#0#0#0\n",
+        encoding="utf-8")
+    outcomes = tmp_path / "outcomes.tsv"
+    outcomes.write_text(
+        outcome_line(202, "tv", "TV", 100, 0.84, 0.84, 6, 60, "y", 7) + "\n",
+        encoding="utf-8")
+    text = run(tmp_path, "trace", "--report", "duels", "--outcomes", str(outcomes),
+               "--traces", str(bad), str(good))
+    _, rows = csv_rows(text)
+    assert [r["auction_id"] for r in rows] == ["202"]
+    meta = meta_lines(text)
+    assert meta["traces_skipped_inconsistent"] == "1"
+    assert meta["traces_skipped_incomplete"] == "0"
+    assert meta["auctions_scanned"] == "1"
 
 
 def test_trace_active_report(tmp_path):

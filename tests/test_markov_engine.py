@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from paybid.core_model import AuctionSpec, symmetric_beta
 from paybid.markov_engine import (
     NonAbsorbingChainError,
+    RowTable,
     TwoGroupChain,
     absorption_closed_form,
     build_transitions,
@@ -79,6 +80,111 @@ def test_rows_are_stochastic(k_a, k_b, beta_a, beta_b, tie_rule, leader):
                             q=1 if leader is None else 2, leader=leader)
     assert row.to_a >= -1e-15 and row.to_b >= -1e-15 and row.absorb >= -1e-15
     assert row.to_a + row.to_b + row.absorb == pytest.approx(1.0, abs=1e-12)
+
+
+SUBNORMAL = 1.1125369292536007e-308
+# boundary and subnormal probabilities mixed into arbitrary ones
+probabilities = st.one_of(st.sampled_from([0.0, 1.0, SUBNORMAL]),
+                          st.floats(min_value=0.0, max_value=1.0))
+
+
+def assert_table_matches_rows(chain, leader, q_start, table):
+    assert isinstance(table, RowTable)
+    for r, got in enumerate(zip(table.to_a, table.to_b, table.absorb)):
+        want = build_transitions(chain.group_a_size, chain.group_b_size, chain.beta_a,
+                                 chain.beta_b, tie_rule=chain.tie_rule, q=q_start + r,
+                                 leader=leader)
+        assert got == pytest.approx(tuple(want), abs=1e-15, rel=0), q_start + r
+
+
+@settings(deadline=None)
+@given(data=st.data(),
+       k_a=st.integers(min_value=0, max_value=40),
+       k_b=st.integers(min_value=0, max_value=40),
+       tie_rule=st.sampled_from(["uniform", "single_ticket"]),
+       q_start=st.integers(min_value=1, max_value=500))
+def test_row_table_matches_build_transitions(data, k_a, k_b, tie_rule, q_start):
+    if k_a + k_b == 0:
+        k_b = 1
+    leaders = [None] + (["A"] if k_a else []) + (["B"] if k_b else [])
+    leader = data.draw(st.sampled_from(leaders))
+    rows = data.draw(st.integers(min_value=1, max_value=12))
+    betas_a = data.draw(st.lists(probabilities, min_size=rows, max_size=rows))
+    betas_b = data.draw(st.lists(probabilities, min_size=rows, max_size=rows))
+    chain = TwoGroupChain(
+        group_a_size=k_a, group_b_size=k_b,
+        beta_a=lambda q, lead: betas_a[q - q_start], beta_b=lambda q, lead: betas_b[q - q_start],
+        fee_a=1.0, fee_b=1.0, tie_rule=tie_rule)
+    table = chain.row_table(leader, q_start, q_start + rows)
+    assert_table_matches_rows(chain, leader, q_start, table)
+
+
+def test_row_table_edge_cases():
+    # the stored subnormal beta next to certain and impossible bids, an empty
+    # group, and the single_ticket rule
+    betas = [0.0, 1.0, SUBNORMAL, 0.5]
+    cases = [(1, 2, "uniform", "A"), (0, 3, "uniform", "B"), (0, 3, "uniform", None),
+             (3, 0, "uniform", "A"), (4, 2, "single_ticket", "A"),
+             (4, 2, "single_ticket", "B"), (0, 2, "single_ticket", "B")]
+    for k_a, k_b, tie_rule, leader in cases:
+        chain = TwoGroupChain(
+            group_a_size=k_a, group_b_size=k_b,
+            beta_a=lambda q, lead: betas[q - 2], beta_b=lambda q, lead: betas[::-1][q - 2],
+            fee_a=1.0, fee_b=1.0, tie_rule=tie_rule)
+        table = chain.row_table(leader, 2, 2 + len(betas))
+        assert_table_matches_rows(chain, leader, 2, table)
+        assert np.all(np.isfinite(table.to_a + table.to_b + table.absorb))
+        assert table.to_a + table.to_b + table.absorb == pytest.approx(1.0, abs=1e-12)
+
+
+def test_row_table_of_ascending_chain_past_the_last_rational_bid():
+    # Q = 396: from bid index Q+1 on nobody bids (beta = 0) and every row absorbs
+    asc = AuctionSpec.ascending(100, 1, 0.25, 50)
+    chain = underestimate_chain(asc, 5)
+    for leader in ("A", "B"):
+        table = chain.row_table(leader, 380, 420)
+        assert_table_matches_rows(chain, leader, 380, table)
+        past = slice(397 - 380, None)
+        assert chain.beta_a(397, leader) == chain.beta_b(400, leader) == 0.0
+        assert np.all(table.absorb[past] == 1.0)
+        assert np.all(table.to_a[past] == 0.0) and np.all(table.to_b[past] == 0.0)
+        assert np.all(table.absorb[:past.start] < 1.0)
+
+
+def test_row_table_rejects_a_bad_probability():
+    chain = TwoGroupChain(group_a_size=2, group_b_size=2,
+                          beta_a=lambda q, lead: 0.5 if q < 5 else 1.5,
+                          beta_b=lambda q, lead: 0.5, fee_a=1.0, fee_b=1.0)
+    chain.row_table("A", 2, 5)
+    with pytest.raises(ValueError):
+        chain.row_table("A", 2, 6)
+
+
+def test_recurrence_step_counts_are_unchanged():
+    # the step counts of the per-step row evaluation the row table replaced
+    fix = AuctionSpec.fixed_price(100, 1, 0, 50)
+    asc = AuctionSpec.ascending(100, 1, 0.25, 50)
+    assert len(evolve_recurrence(underestimate_chain(fix, 0)).steps) == 2750
+    assert len(evolve_recurrence(underestimate_chain(asc, 5)).steps) == 396
+
+
+def test_recurrence_without_horizon_reads_the_table_in_blocks():
+    # a chain that is not time homogeneous and has no horizon: the rows come
+    # block by block, and the series must not depend on where blocks split
+    def beta(q, leader):
+        return 0.09 + 0.01 * math.sin(q / 7.0)
+
+    chain = TwoGroupChain(group_a_size=20, group_b_size=30, beta_a=beta, beta_b=beta,
+                          fee_a=1.0, fee_b=1.0)
+    series = evolve_recurrence(chain)
+    assert len(series.steps) > 1024
+    p_a, p_b = first_bid_distribution(chain)
+    for t in range(1, 1500):
+        row_a, row_b = chain.transitions(t + 1, "A"), chain.transitions(t + 1, "B")
+        if t in (1, 1023, 1024, 1025, 1499):
+            assert series.p_a[t - 1] == pytest.approx(p_a, rel=1e-12, abs=1e-300)
+            assert series.p_b[t - 1] == pytest.approx(p_b, rel=1e-12, abs=1e-300)
+        p_a, p_b = p_a * row_a.to_a + p_b * row_b.to_a, p_a * row_a.to_b + p_b * row_b.to_b
 
 
 def test_first_bid_distribution_conditioning():

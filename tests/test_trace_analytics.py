@@ -78,6 +78,21 @@ def test_outcome_rows_comma_delimiter():
     assert recs[0].auction_id == 259070
 
 
+def test_tab_separated_item_keeps_its_quotes():
+    row = outcome_row(7, '"Big" TV', 'A "Big" TV', 100, 0, 0.12, 6, 60, "w", 3)
+    rec = parse_outcome_rows([row])[0]
+    assert rec.item == '"Big" TV'
+    assert rec.description == 'A "Big" TV'
+    assert rec.retail_cents == 10000
+
+
+def test_comma_separated_rows_follow_csv_quoting():
+    row = outcome_row(7, '"Big, ""bright"" TV"', "TV", 100, 0, 0.12, 6, 60, "w", 3)
+    rec = parse_outcome_rows([row.replace("\t", ",")], delimiter=",")[0]
+    assert rec.item == 'Big, "bright" TV'
+    assert rec.retail_cents == 10000
+
+
 def test_malformed_rows_are_skipped_with_diagnostics():
     diagnostics = []
     bad_retail = EXAMPLE_ROW.replace("\t180\t", "\tn/a\t")
