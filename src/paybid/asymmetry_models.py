@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import optimize, stats
 
 from .core_model import AuctionSpec, beta_from_mu, max_bids, symmetric_beta
 from .markov_engine import _ROW_BLOCK, TwoGroupChain
@@ -115,8 +114,8 @@ def _resolve(profile: GroupProfile, spec: AuctionSpec) -> tuple[float, float, in
     return fee, value, perceived
 
 
-def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile, profile_b: GroupProfile,
-                    label: str = "") -> TwoGroupChain:
+def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile,
+                    profile_b: GroupProfile) -> TwoGroupChain:
     """Assemble a chain from two perceived-symmetric-world profiles.
 
     Bid probabilities are leader independent here; models where the lead
@@ -168,7 +167,6 @@ def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile, profile_b: Group
         tie_rule="uniform",
         horizon=horizon,
         time_homogeneous=not spec.is_ascending,
-        label=label,
         notes=tuple(notes),
     )
 
@@ -228,7 +226,6 @@ def underestimate_chain(spec: AuctionSpec, k: int) -> TwoGroupChain:
         spec,
         GroupProfile(size=half, perceived_population=perceived),
         GroupProfile(size=n - half, perceived_population=perceived),
-        label=f"underestimate k={k}",
     )
 
 
@@ -280,7 +277,6 @@ def mixed_estimates_chain(spec: AuctionSpec, k: int) -> TwoGroupChain:
         spec,
         GroupProfile(size=n // 2, perceived_population=n - k),
         GroupProfile(size=n // 2, perceived_population=n + k),
-        label=f"mixed bias +-{k}",
     )
 
 
@@ -328,6 +324,13 @@ def uncertain_population_beta(spec: AuctionSpec, belief: PopulationBelief) -> Un
     belief: sum_i z_i (1 - beta)^(i-1) = b / (v-p). Because x^(i-1) is convex
     in i, a mean-preserving spread forces beta above the known-population
     solution, so uncertainty alone raises revenue.
+
+    The residual sum_i z_i (1 - beta)^(i-1) - w, w = b / (v-p), is monotone
+    decreasing in beta on [0, 1]: it is 1 - w at beta = 0 and z_1 - w at
+    beta = 1, where z_1 is the mass on i = 1. With w <= 1 and z_1 < w (both
+    checked) the bracket [0, 1] holds a sign change, and bisection halves it
+    until its ends are adjacent floats; the end with the smaller residual is
+    returned.
     """
     if spec.is_ascending:
         raise ValueError("fixed-price auctions only")
@@ -335,19 +338,30 @@ def uncertain_population_beta(spec: AuctionSpec, belief: PopulationBelief) -> Un
         raise ValueError(
             f"belief mean {belief.mean} must equal the true population {spec.population}")
     w = spec.fee / (spec.value - spec.price)
+    if w > 1.0:
+        raise ValueError("the bid fee exceeds the pot, no indifference point exists")
     z1 = sum(z for m, z in zip(belief.sizes, belief.weights) if m == 1)
     if z1 >= w:
         raise ValueError("too much belief mass on being alone, no indifference point exists")
-    sizes = np.array(belief.sizes, dtype=float)
-    weights = np.array(belief.weights, dtype=float)
+    terms = tuple(zip(belief.sizes, belief.weights))
 
     def residual_at(beta: float) -> float:
-        return float(np.sum(weights * (1.0 - beta) ** (sizes - 1.0)) - w)
+        return sum(z * (1.0 - beta) ** (m - 1) for m, z in terms) - w
 
-    beta2 = optimize.brentq(residual_at, 0.0, 1.0, xtol=1e-16, rtol=8.9e-16)
+    lo, hi = 0.0, 1.0
+    res_lo, res_hi = residual_at(lo), residual_at(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        res_mid = residual_at(mid)
+        if res_mid > 0.0:
+            lo, res_lo = mid, res_mid
+        else:
+            hi, res_hi = mid, res_mid
+    beta2, residual = (lo, res_lo) if abs(res_lo) <= abs(res_hi) else (hi, res_hi)
     beta1 = symmetric_beta(spec, 2)
-    return UncertainBeta(beta_known=beta1, beta_uncertain=float(beta2),
-                         residual=residual_at(float(beta2)))
+    return UncertainBeta(beta_known=beta1, beta_uncertain=beta2, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +425,6 @@ def bidfee_asymmetry_chain(spec: AuctionSpec, k: int, fee_a: float,
         price=spec.price,
         tie_rule="uniform",
         time_homogeneous=True,
-        label=f"fee asymmetry k={k} fee_a={fee_a} fee_b={fee_b}",
         notes=tuple(notes),
     )
 
@@ -440,7 +453,6 @@ def valuation_asymmetry_chain(spec: AuctionSpec, k: int, value_multiplier: float
         spec,
         GroupProfile(size=k, value=value_multiplier * spec.value),
         GroupProfile(size=n - k),
-        label=f"valuation asymmetry k={k} multiplier={value_multiplier}",
     )
     return chain
 
@@ -504,7 +516,6 @@ def collusion_chain(spec: AuctionSpec, k: int, coordination: str = "many_bidders
         price=spec.price,
         tie_rule=tie_rule,
         time_homogeneous=True,
-        label=f"collusion k={k} {coordination}",
     )
 
 
@@ -806,16 +817,28 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
 def _mean_inv_one_plus(eligible: int, betas: Sequence[float]) -> list[float]:
     """E[1 / (1 + J)] with J ~ Binomial(eligible, beta), one value per beta:
     the committed player's chance of winning the tie lottery against J
-    challengers."""
+    challengers.
+
+    With m = eligible the sum has the closed form
+
+        (1 - (1 - beta)^(m+1)) / ((m+1) beta),
+
+    evaluated as -expm1((m+1) log1p(-beta)) / ((m+1) beta), which keeps full
+    relative accuracy as beta -> 0, a subnormal beta included. beta = 0 (no
+    challenger, share 1) and beta = 1 (all m challenge, share 1/(m+1)) are
+    taken exactly.
+    """
     if eligible <= 0:
         return [1.0] * len(betas)
-    js = np.arange(eligible + 1)
+    trials = eligible + 1
     shares = []
-    for start in range(0, len(betas), _ROW_BLOCK):  # bounds the pmf matrix
-        chunk = np.asarray(betas[start:start + _ROW_BLOCK], dtype=float)
-        weighted = stats.binom.pmf(js[None, :], eligible, chunk[:, None])
-        weighted /= 1.0 + js
-        shares.extend(float(np.sum(row)) for row in weighted)
+    for beta in betas:
+        if beta == 0.0:
+            shares.append(1.0)
+        elif beta == 1.0:
+            shares.append(1.0 / trials)
+        else:
+            shares.append(-math.expm1(trials * math.log1p(-beta)) / (trials * beta))
     return shares
 
 

@@ -521,18 +521,24 @@ def _load_outcomes(args) -> tuple:
 
 
 def _load_traces(args) -> tuple:
-    """Returns ({auction_id: bids}, skip counts) keeping only complete,
-    consistent traces; the counts are meta keys of the report."""
+    """Returns ({auction_id: bids}, skip counts) keeping only well-formed,
+    complete, consistent traces; the counts are meta keys of the report. A
+    trace with a rejected probe line is skipped whole, since the dropped
+    line may have held its last bids."""
     histories = {}
-    incomplete = inconsistent = 0
+    malformed = incomplete = inconsistent = 0
     for path in args.traces or []:
         stem = Path(path).stem
         try:
             auction_id = int(stem)
         except ValueError:
             raise SystemExit(f"trace file name must be the auction id, got {stem!r}")
+        rejected: list = []
         with open(path, encoding="utf-8") as handle:
-            probes = parse_trace_file(handle)
+            probes = parse_trace_file(handle, rejected)
+        if rejected:
+            malformed += 1
+            continue
         try:
             bids, missing = reconstruct_bids(probes)
         except ValueError:
@@ -542,7 +548,8 @@ def _load_traces(args) -> tuple:
             incomplete += 1
             continue
         histories[auction_id] = bids
-    return histories, {"traces_skipped_incomplete": incomplete,
+    return histories, {"traces_skipped_malformed": malformed,
+                       "traces_skipped_incomplete": incomplete,
                        "traces_skipped_inconsistent": inconsistent}
 
 

@@ -218,7 +218,6 @@ class TwoGroupChain:
     tie_rule: str = "uniform"
     horizon: Optional[int] = None
     time_homogeneous: bool = False
-    label: str = ""
     notes: tuple = ()
 
     def __post_init__(self):

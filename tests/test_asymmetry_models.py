@@ -2,6 +2,7 @@
 collusion, shills, committed players, and the full-information system."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from paybid.core_model import AuctionSpec, symmetric_beta, beta_from_mu
 from paybid.markov_engine import evolve_recurrence, expected_revenue_from_series
 from paybid.asymmetry_models import (
+    _mean_inv_one_plus,
     CommittedPolicy,
     GroupProfile,
     PopulationBelief,
@@ -201,6 +203,13 @@ def test_belief_with_heavy_singleton_is_infeasible():
     belief = PopulationBelief((1, 99), (0.5, 0.5))
     with pytest.raises(ValueError):
         uncertain_population_beta(spec, belief)
+
+
+def test_belief_with_fee_above_the_pot_is_infeasible():
+    # b / (v - p) > 1 makes the residual negative on all of [0, 1]
+    spec = AuctionSpec.fixed_price(100, 1, 99.5, 50)
+    with pytest.raises(ValueError):
+        uncertain_population_beta(spec, PopulationBelief((25, 75), (0.5, 0.5)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,6 +459,17 @@ def test_committed_tiny_case_frozen():
     assert out.auctioneer_profit == pytest.approx(3.7437432715726, rel=1e-10)
     assert out.committed_win_prob == pytest.approx(0.9024690354565534, rel=1e-10)
     assert out.expected_total_bids == pytest.approx(6.823106153514576, rel=1e-10)
+
+
+def test_lottery_share_closed_form_matches_exact_binomial_sum():
+    # E[1/(1+J)], J ~ Bin(m, beta), summed term by term in exact rationals
+    betas = [0.0, 1.1125369292536007e-308, 1e-12, 0.02, 0.5, 1.0 - 1e-12, 1.0]
+    for m in (0, 1, 2, 48, 49):
+        for beta, got in zip(betas, _mean_inv_one_plus(m, betas)):
+            b = Fraction(beta)
+            exact = sum(math.comb(m, j) * b ** j * (1 - b) ** (m - j) / (1 + j)
+                        for j in range(m + 1))
+            assert got == pytest.approx(float(exact), rel=1e-13), (m, beta)
 
 
 # alpha -> (player_profit, auctioneer_profit, committed_win_prob,

@@ -1,6 +1,10 @@
 """End-to-end checks of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -340,6 +344,27 @@ def test_trace_inconsistent_trace_is_skipped_and_counted(tmp_path):
     assert meta["auctions_scanned"] == "1"
 
 
+def test_trace_with_a_malformed_probe_line_is_skipped_and_counted(tmp_path):
+    # the second probe, the only one showing bid 2, has a bad bid price: the
+    # first probe alone would pass for a complete one-bid auction
+    bad = tmp_path / "7.trace"
+    bad.write_text(
+        "1700000000\tct=1|cs=1|bh=1:a:1:6:0:#|lui=0#0#0#0\n"
+        "1700000001\tct=1|cs=1|bh=2:b:x:12:0:#|lui=0#0#0#0\n",
+        encoding="utf-8")
+    outcomes = tmp_path / "outcomes.tsv"
+    outcomes.write_text(
+        outcome_line(7, "tv", "TV", 100, 0.12, 0.12, 6, 60, "b", 2) + "\n",
+        encoding="utf-8")
+    text = run(tmp_path, "trace", "--report", "duels", "--outcomes", str(outcomes),
+               "--traces", str(bad))
+    meta = meta_lines(text)
+    assert meta["traces_skipped_malformed"] == "1"
+    assert meta["traces_skipped_incomplete"] == "0"
+    assert meta["traces_skipped_inconsistent"] == "0"
+    assert meta["auctions_scanned"] == "0"
+
+
 def test_trace_active_report(tmp_path):
     cycle = [(f"u{i % 4}", 6 * (i + 1)) for i in range(10)]
     trace = write_trace(tmp_path, 404, cycle)
@@ -387,3 +412,15 @@ def test_trace_file_name_must_be_auction_id(tmp_path):
     with pytest.raises(SystemExit, match="auction id"):
         main(["trace", "--report", "duels", "--outcomes", str(outcomes),
               "--traces", str(stray), "--out", str(tmp_path / "x.csv")])
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what
+    # importing the package and its command line front end pulls in
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys, paybid, paybid.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -239,7 +239,7 @@ def test_everyone_always_bids_never_absorbs():
         group_a_size=2, group_b_size=2,
         beta_a=lambda q, leader: 1.0, beta_b=lambda q, leader: 1.0,
         fee_a=1.0, fee_b=1.0, price=0.0, tie_rule="uniform",
-        time_homogeneous=True, label="never ends",
+        time_homogeneous=True,
     )
     with pytest.raises(NonAbsorbingChainError):
         absorption_closed_form(chain)
