@@ -756,6 +756,8 @@ class CommittedPolicy:
     retail_multiplier: float
 
     def __post_init__(self):
+        if not math.isfinite(self.retail_multiplier):
+            raise ValueError(f"retail multiplier must be finite, got {self.retail_multiplier}")
         if self.retail_multiplier <= 0:
             raise ValueError("retail multiplier must be positive")
 

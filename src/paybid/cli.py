@@ -6,11 +6,21 @@ Subcommands:
   simulate   Monte Carlo cross-check of one scenario
   trace      reports over scraped outcome tables and bid trace files
 
-Model scenarios are configured with --set key=value (repeatable) or a flat
-config file of "key = value" lines; explicit --set flags win over the file.
+Model scenarios are the entries of SCENARIOS, one table: each declares its
+parameters with their defaults and its analyze and (if it has a Monte Carlo
+form) simulate side. The scenarios read off one two-group chain declare the
+chain, the parameters they echo and a reader per output column. They are
+configured with --set key=value (repeatable) or a flat config file of
+"key = value" lines; explicit --set flags win over the file.
 Outputs are CSV (comment header with tool version, config hash, and seed,
 then regular rows) or JSON, written to --out or stdout. A fixed config and
 seed always produce byte-identical output.
+
+The exit status is 0 on success and 2 on a usage error, reported as one
+stderr line "paybid: error: <message>" (argparse's own errors for a bad flag
+print the usage first). When a model rejects a parameter the message names the
+scenario, the overrides and, in a sweep, the grid point:
+  paybid: error: scenario 'uncertain' with n=40 at spread=0: belief sizes must be distinct
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
@@ -43,7 +53,7 @@ from .asymmetry_models import (
     valuation_asymmetry_chain,
 )
 from .core_model import AuctionSpec
-from .markov_engine import absorption_closed_form
+from .markov_engine import AbsorptionSummary, TwoGroupChain, absorption_closed_form
 from .simulator import simulate_chain, simulate_committed, simulate_shill
 from .trace_analytics import (
     active_bidder_fraction,
@@ -71,65 +81,77 @@ class Param:
 @dataclass(frozen=True)
 class Scenario:
     name: str
+    description: str
     params: dict
     analyze: Callable[[dict], dict]
-    simulate: Optional[Callable[[dict, int, int], dict]]
-    description: str
+    simulate: Optional[Callable[[dict, int, int], dict]] = None
 
 
-def _spec_fixed(p: dict) -> AuctionSpec:
-    return AuctionSpec.fixed_price(p["v"], p["b"], p["p"], p["n"])
+def _params(variant: Optional[str] = None, **own: Param) -> dict:
+    """The auction's parameters; then, for a scenario with an ascending form,
+    the increment and the variant with its default; then the scenario's own."""
+    params = {"n": Param(int, 50, "number of players"),
+              "v": Param(float, 100.0, "item value, dollars"),
+              "b": Param(float, 1.0, "bid fee, dollars"),
+              "p": Param(float, 0.0, "fixed price, dollars")}
+    if variant:
+        params["s"] = Param(float, 0.25, "price increment, dollars")
+        params["variant"] = Param(str, variant, "fixed or ascending")
+    return {**params, **own}
 
 
-def _spec_for_variant(p: dict) -> AuctionSpec:
-    if p["variant"] == "ascending":
+def _spec(p: dict) -> AuctionSpec:
+    """The auction of one parameter set: fixed-price unless variant=ascending."""
+    variant = p.get("variant", "fixed")
+    if variant == "ascending":
         return AuctionSpec.ascending(p["v"], p["b"], p["s"], p["n"])
-    if p["variant"] == "fixed":
-        return _spec_fixed(p)
-    raise ValueError(f"variant must be 'fixed' or 'ascending', got {p['variant']!r}")
+    if variant == "fixed":
+        return AuctionSpec.fixed_price(p["v"], p["b"], p["p"], p["n"])
+    raise ValueError(f"variant must be 'fixed' or 'ascending', got {variant!r}")
 
 
-_COMMON = {
-    "n": Param(int, 50, "number of players"),
-    "v": Param(float, 100.0, "item value, dollars"),
-    "b": Param(float, 1.0, "bid fee, dollars"),
-    "p": Param(float, 0.0, "fixed price, dollars"),
-}
-_ASC = {"s": Param(float, 0.25, "price increment, dollars"),
-        "variant": Param(str, "fixed", "fixed or ascending")}
+def _on_chain(build: Callable[[dict], TwoGroupChain], echo: tuple, exact: dict,
+              monte_carlo: dict) -> tuple[Callable, Callable]:
+    """The analyze and simulate sides of a scenario read off one two-group chain.
+
+    analyze solves the chain in closed form; its row holds the `echo`
+    parameters, then each `exact` column as reader(AbsorptionSummary, params).
+    simulate runs the chain simulator; its row holds each `monte_carlo` column
+    as reader(ChainEstimate).
+    """
+
+    def analyze(p: dict) -> dict:
+        summary = absorption_closed_form(build(p))
+        row = {name: p[name] for name in echo}
+        row.update((column, read(summary, p)) for column, read in exact.items())
+        return row
+
+    def simulate(p: dict, trials: int, seed: int) -> dict:
+        est = simulate_chain(build(p), trials, seed)
+        return {column: read(est) for column, read in monte_carlo.items()}
+
+    return analyze, simulate
+
+
+def _outsider_win(summary: AbsorptionSummary, p: dict) -> float:
+    return float(summary.win_probs[1]) / (p["n"] - p["k"])
+
+
+def _win_ratio(summary: AbsorptionSummary, p: dict) -> float:
+    outsider = _outsider_win(summary, p)
+    return float(summary.win_probs[0]) / outsider if outsider > 0 else math.inf
+
+
+_MC_REVENUE = {"mc_revenue": lambda est: est.mean_revenue,
+               "mc_se": lambda est: est.se_revenue}
 
 
 def _analyze_underestimate(p: dict) -> dict:
-    spec = _spec_for_variant(p)
+    spec = _spec(p)
     if spec.is_ascending:
-        revenue = ascending_underestimate_revenue(spec, p["k"])
-        return {"k": p["k"], "expected_revenue": revenue}
+        return {"k": p["k"], "expected_revenue": ascending_underestimate_revenue(spec, p["k"])}
     mu, revenue = underestimate_uniform(spec, p["k"])
     return {"k": p["k"], "mu": mu, "expected_revenue": revenue}
-
-
-def _simulate_underestimate(p: dict, trials: int, seed: int) -> dict:
-    spec = _spec_for_variant(p)
-    est = simulate_chain(underestimate_chain(spec, p["k"]), trials, seed)
-    return {"mc_revenue": est.mean_revenue, "mc_se": est.se_revenue,
-            "mc_success_rate": est.success_rate}
-
-
-def _analyze_mixed(p: dict) -> dict:
-    chain = mixed_estimates_chain(_spec_fixed(p), p["k"])
-    summary = absorption_closed_form(chain)
-    return {
-        "k": p["k"],
-        "expected_revenue": summary.expected_revenue,
-        "expected_bids": summary.expected_bids,
-        "win_prob_underestimators": float(summary.win_probs[0]),
-    }
-
-
-def _simulate_mixed(p: dict, trials: int, seed: int) -> dict:
-    est = simulate_chain(mixed_estimates_chain(_spec_fixed(p), p["k"]), trials, seed)
-    return {"mc_revenue": est.mean_revenue, "mc_se": est.se_revenue,
-            "mc_win_prob_underestimators": est.win_prob_a}
 
 
 def _belief_from_params(p: dict) -> PopulationBelief:
@@ -148,199 +170,141 @@ def _belief_from_params(p: dict) -> PopulationBelief:
 
 
 def _analyze_uncertain(p: dict) -> dict:
-    result = uncertain_population_beta(_spec_fixed(p), _belief_from_params(p))
-    return {
-        "beta_known": result.beta_known,
-        "beta_uncertain": result.beta_uncertain,
-        "uplift": result.beta_uncertain - result.beta_known,
-        "residual": result.residual,
-    }
+    result = uncertain_population_beta(_spec(p), _belief_from_params(p))
+    return {"beta_known": result.beta_known, "beta_uncertain": result.beta_uncertain,
+            "uplift": result.beta_uncertain - result.beta_known, "residual": result.residual}
 
 
-def _analyze_bidfee(p: dict) -> dict:
-    chain = bidfee_asymmetry_chain(_spec_fixed(p), p["k"], p["b_a"], p["b_b"])
-    summary = absorption_closed_form(chain)
-    return {
-        "k": p["k"],
-        "b_a": p["b_a"],
-        "b_b": p["b_b"],
-        "expected_revenue": summary.expected_revenue,
-        "expected_bids": summary.expected_bids,
-        "win_prob_cheap_group": float(summary.win_probs[0]),
-    }
-
-
-def _simulate_bidfee(p: dict, trials: int, seed: int) -> dict:
-    chain = bidfee_asymmetry_chain(_spec_fixed(p), p["k"], p["b_a"], p["b_b"])
-    est = simulate_chain(chain, trials, seed)
-    return {"mc_revenue": est.mean_revenue, "mc_se": est.se_revenue,
-            "mc_bids": est.mean_bids, "mc_bids_se": est.se_bids}
-
-
-def _analyze_valuation(p: dict) -> dict:
-    chain = valuation_asymmetry_chain(_spec_fixed(p), p["k"], p["alpha"])
-    summary = absorption_closed_form(chain)
-    return {
-        "k": p["k"],
-        "alpha": p["alpha"],
-        "expected_revenue": summary.expected_revenue,
-        "win_prob_offvalue_group": float(summary.win_probs[0]),
-    }
-
-
-def _simulate_valuation(p: dict, trials: int, seed: int) -> dict:
-    chain = valuation_asymmetry_chain(_spec_fixed(p), p["k"], p["alpha"])
-    est = simulate_chain(chain, trials, seed)
-    return {"mc_revenue": est.mean_revenue, "mc_se": est.se_revenue,
-            "mc_win_prob_offvalue_group": est.win_prob_a}
-
-
-def _analyze_collusion(p: dict) -> dict:
-    spec = _spec_fixed(p)
-    chain = collusion_chain(spec, p["k"], p["coordination"])
-    summary = absorption_closed_form(chain)
-    ring_win = float(summary.win_probs[0])
-    outsider_win = float(summary.win_probs[1]) / (spec.population - p["k"])
-    return {
-        "k": p["k"],
-        "coordination": p["coordination"],
-        "expected_revenue": summary.expected_revenue,
-        "ring_win_prob": ring_win,
-        "per_outsider_win_prob": outsider_win,
-        "win_ratio": ring_win / outsider_win if outsider_win > 0 else math.inf,
-    }
-
-
-def _simulate_collusion(p: dict, trials: int, seed: int) -> dict:
-    chain = collusion_chain(_spec_fixed(p), p["k"], p["coordination"])
-    est = simulate_chain(chain, trials, seed)
-    return {"mc_revenue": est.mean_revenue, "mc_se": est.se_revenue,
-            "mc_ring_win_prob": est.win_prob_a, "mc_ring_win_se": est.se_win_a}
-
-
-def _shill_inputs(p: dict):
-    spec = _spec_for_variant(p)
-    policy = ShillPolicy(entry_prob=p["rho"], bid_budget=p["L"], identities=p["identities"])
-    return spec, policy
+def _shill_policy(p: dict) -> ShillPolicy:
+    return ShillPolicy(entry_prob=p["rho"], bid_budget=p["L"], identities=p["identities"])
 
 
 def _analyze_shill(p: dict) -> dict:
-    spec, policy = _shill_inputs(p)
-    outcome = shill_profit(spec, policy)
-    return {
-        "rho": p["rho"],
-        "L": p["L"],
-        "identities": p["identities"],
-        "expected_profit": outcome.expected_profit,
-        "win_prob_shill": outcome.win_prob_shill,
-    }
+    outcome = shill_profit(_spec(p), _shill_policy(p))
+    return {"rho": p["rho"], "L": p["L"], "identities": p["identities"],
+            "expected_profit": outcome.expected_profit,
+            "win_prob_shill": outcome.win_prob_shill}
 
 
 def _simulate_shill(p: dict, trials: int, seed: int) -> dict:
-    spec, policy = _shill_inputs(p)
-    sim = simulate_shill(spec, policy, trials, seed)
+    sim = simulate_shill(_spec(p), _shill_policy(p), trials, seed)
     return {"mc_profit": sim.mean_profit, "mc_se": sim.se_profit,
             "mc_win_prob_shill": sim.win_prob_shill}
 
 
 def _analyze_committed(p: dict) -> dict:
-    spec = _spec_for_variant(p)
-    outcome = committed_player_profit(spec, CommittedPolicy(retail_multiplier=p["alpha"]))
-    return {
-        "alpha": p["alpha"],
-        "player_profit": outcome.player_profit,
-        "auctioneer_profit": outcome.auctioneer_profit,
-        "committed_win_prob": outcome.committed_win_prob,
-    }
+    outcome = committed_player_profit(_spec(p), CommittedPolicy(retail_multiplier=p["alpha"]))
+    return {"alpha": p["alpha"], "player_profit": outcome.player_profit,
+            "auctioneer_profit": outcome.auctioneer_profit,
+            "committed_win_prob": outcome.committed_win_prob}
 
 
-def _simulate_committed_scenario(p: dict, trials: int, seed: int) -> dict:
-    spec = _spec_for_variant(p)
-    sim = simulate_committed(spec, p["alpha"], trials, seed)
-    return {
-        "mc_player_profit": sim.mean_player_profit,
-        "mc_player_se": sim.se_player_profit,
-        "mc_auctioneer_profit": sim.mean_auctioneer_profit,
-        "mc_auctioneer_se": sim.se_auctioneer_profit,
-        "mc_max_player_loss": sim.max_player_loss,
-    }
+def _simulate_committed(p: dict, trials: int, seed: int) -> dict:
+    sim = simulate_committed(_spec(p), p["alpha"], trials, seed)
+    return {"mc_player_profit": sim.mean_player_profit, "mc_player_se": sim.se_player_profit,
+            "mc_auctioneer_profit": sim.mean_auctioneer_profit,
+            "mc_auctioneer_se": sim.se_auctioneer_profit,
+            "mc_max_player_loss": sim.max_player_loss}
 
 
-SCENARIOS = {
-    "underestimate": Scenario(
-        "underestimate",
-        {**_COMMON, **_ASC, "k": Param(int, 5, "how many players everyone fails to see")},
-        _analyze_underestimate, _simulate_underestimate,
-        "everyone believes the population is n - k"),
-    "mixed": Scenario(
-        "mixed",
-        {**_COMMON, "k": Param(int, 10, "half see n - k players, half n + k")},
-        _analyze_mixed, _simulate_mixed,
-        "offsetting population misestimates"),
-    "uncertain": Scenario(
-        "uncertain",
-        {**_COMMON,
-         "spread": Param(int, 20, "two-point belief n - spread / n + spread"),
-         "belief": Param(str, "", "explicit belief, e.g. 30:0.5,70:0.5")},
-        _analyze_uncertain, None,
-        "players know only a distribution over the population"),
-    "bidfee": Scenario(
-        "bidfee",
-        {**_COMMON,
-         "k": Param(int, 5, "size of the discounted group"),
-         "b_a": Param(float, 0.5, "discounted fee, dollars"),
-         "b_b": Param(float, 1.0, "regular fee, dollars")},
-        _analyze_bidfee, _simulate_bidfee,
-        "k players quietly pay a lower bid fee"),
-    "valuation": Scenario(
-        "valuation",
-        {**_COMMON,
-         "k": Param(int, 25, "size of the off-value group"),
-         "alpha": Param(float, 2.0, "value multiplier of that group")},
-        _analyze_valuation, _simulate_valuation,
-        "k players value the item differently, everyone knows"),
-    "collusion": Scenario(
-        "collusion",
-        {**_COMMON,
-         "k": Param(int, 5, "ring size"),
-         "coordination": Param(str, "many_bidders", "many_bidders or single_bidder")},
-        _analyze_collusion, _simulate_collusion,
-        "a ring of k players stops competing internally"),
-    "shill": Scenario(
-        "shill",
-        {**_COMMON, **_ASC,
-         "rho": Param(float, 1.0, "entry probability"),
-         "L": Param(int, 10, "shill bid budget"),
-         "identities": Param(int, 1, "identities the shill wears (1 or 2)")},
-        _analyze_shill, _simulate_shill,
-        "house bidder with a bid budget"),
-    "committed": Scenario(
-        "committed",
-        {**_COMMON, **_ASC,
-         "alpha": Param(float, 1.5, "retail backstop as a multiple of v")},
-        _analyze_committed, _simulate_committed_scenario,
-        "one player will own the item no matter what"),
-}
-
-# Ascending by default where the reference experiments are ascending.
-SCENARIOS["shill"].params["variant"] = Param(str, "ascending", "fixed or ascending")
-SCENARIOS["committed"].params["variant"] = Param(str, "ascending", "fixed or ascending")
+SCENARIOS = {scenario.name: scenario for scenario in (
+    Scenario(
+        "underestimate", "everyone believes the population is n - k",
+        _params("fixed", k=Param(int, 5, "how many players everyone fails to see")),
+        _analyze_underestimate,  # mu and the ascending revenue come from closed forms
+        _on_chain(lambda p: underestimate_chain(_spec(p), p["k"]), (), {},
+                  {**_MC_REVENUE, "mc_success_rate": lambda est: est.success_rate})[1]),
+    Scenario(
+        "mixed", "offsetting population misestimates",
+        _params(k=Param(int, 10, "half see n - k players, half n + k")),
+        *_on_chain(lambda p: mixed_estimates_chain(_spec(p), p["k"]), ("k",),
+                   {"expected_revenue": lambda s, p: s.expected_revenue,
+                    "expected_bids": lambda s, p: s.expected_bids,
+                    "win_prob_underestimators": lambda s, p: float(s.win_probs[0])},
+                   {**_MC_REVENUE, "mc_win_prob_underestimators": lambda est: est.win_prob_a})),
+    Scenario(
+        "uncertain", "players know only a distribution over the population",
+        _params(spread=Param(int, 20, "two-point belief n - spread / n + spread"),
+                belief=Param(str, "", "explicit belief, e.g. 30:0.5,70:0.5")),
+        _analyze_uncertain),
+    Scenario(
+        "bidfee", "k players quietly pay a lower bid fee",
+        _params(k=Param(int, 5, "size of the discounted group"),
+                b_a=Param(float, 0.5, "discounted fee, dollars"),
+                b_b=Param(float, 1.0, "regular fee, dollars")),
+        *_on_chain(lambda p: bidfee_asymmetry_chain(_spec(p), p["k"], p["b_a"], p["b_b"]),
+                   ("k", "b_a", "b_b"),
+                   {"expected_revenue": lambda s, p: s.expected_revenue,
+                    "expected_bids": lambda s, p: s.expected_bids,
+                    "win_prob_cheap_group": lambda s, p: float(s.win_probs[0])},
+                   {**_MC_REVENUE, "mc_bids": lambda est: est.mean_bids,
+                    "mc_bids_se": lambda est: est.se_bids})),
+    Scenario(
+        "valuation", "k players value the item differently, everyone knows",
+        _params(k=Param(int, 25, "size of the off-value group"),
+                alpha=Param(float, 2.0, "value multiplier of that group")),
+        *_on_chain(lambda p: valuation_asymmetry_chain(_spec(p), p["k"], p["alpha"]),
+                   ("k", "alpha"),
+                   {"expected_revenue": lambda s, p: s.expected_revenue,
+                    "win_prob_offvalue_group": lambda s, p: float(s.win_probs[0])},
+                   {**_MC_REVENUE, "mc_win_prob_offvalue_group": lambda est: est.win_prob_a})),
+    Scenario(
+        "collusion", "a ring of k players stops competing internally",
+        _params(k=Param(int, 5, "ring size"),
+                coordination=Param(str, "many_bidders", "many_bidders or single_bidder")),
+        *_on_chain(lambda p: collusion_chain(_spec(p), p["k"], p["coordination"]),
+                   ("k", "coordination"),
+                   {"expected_revenue": lambda s, p: s.expected_revenue,
+                    "ring_win_prob": lambda s, p: float(s.win_probs[0]),
+                    "per_outsider_win_prob": _outsider_win, "win_ratio": _win_ratio},
+                   {**_MC_REVENUE, "mc_ring_win_prob": lambda est: est.win_prob_a,
+                    "mc_ring_win_se": lambda est: est.se_win_a})),
+    # ascending by default where the reference experiments are ascending
+    Scenario(
+        "shill", "house bidder with a bid budget",
+        _params("ascending", rho=Param(float, 1.0, "entry probability"),
+                L=Param(int, 10, "shill bid budget"),
+                identities=Param(int, 1, "identities the shill wears (1 or 2)")),
+        _analyze_shill, _simulate_shill),
+    Scenario(
+        "committed", "one player will own the item no matter what",
+        _params("ascending", alpha=Param(float, 1.5, "retail backstop as a multiple of v")),
+        _analyze_committed, _simulate_committed),
+)}
 
 
 # ---------------------------------------------------------------------------
 # Parameter resolution and output plumbing
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Print `paybid: error: <message>` as one line on stderr and exit with
+    status 2, as argparse does for a bad flag. The exception's text is the
+    message, for a caller that catches it."""
+    sys.stderr.write(f"paybid: error: {message}\n")
+    error = SystemExit(message)
+    error.code = 2
+    raise error
+
+
+def _open_input(path: str):
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        _usage_error(f"cannot read {path}: {exc.strerror}")
+
+
 def _read_config_file(path: str) -> dict:
     """Flat key = value lines; '#' starts a comment; blank lines ignored."""
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    with _open_input(path) as handle:
+        text = handle.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            _usage_error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
@@ -354,7 +318,7 @@ def _cast_param(name: str, param: Param, text: str):
             return float(text)
         return text
     except ValueError:
-        raise SystemExit(f"parameter {name} expects {param.kind.__name__}, got {text!r}")
+        _usage_error(f"parameter {name} expects {param.kind.__name__}, got {text!r}")
 
 
 def _resolve_params(scenario: Scenario, overrides: dict) -> dict:
@@ -362,8 +326,8 @@ def _resolve_params(scenario: Scenario, overrides: dict) -> dict:
     for key, text in overrides.items():
         if key not in scenario.params:
             known = ", ".join(sorted(scenario.params))
-            raise SystemExit(f"unknown parameter {key!r} for scenario "
-                             f"{scenario.name!r} (known: {known})")
+            _usage_error(f"unknown parameter {key!r} for scenario "
+                         f"{scenario.name!r} (known: {known})")
         params[key] = _cast_param(key, scenario.params[key], text)
     return params
 
@@ -374,7 +338,7 @@ def _collect_overrides(args) -> dict:
         overrides.update(_read_config_file(args.config))
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
+            _usage_error(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
     return overrides
@@ -403,7 +367,7 @@ def _write_output(rows: list, meta: dict, out: Optional[str], fmt: str) -> None:
         payload = {"meta": {k: _plain(v) for k, v in meta.items()},
                    "rows": [{k: _plain(v) for k, v in row.items()} for row in rows]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
+    else:
         lines = [f"# paybid {meta.get('version', __version__)}"]
         for key in sorted(meta):
             if key == "version":
@@ -415,8 +379,6 @@ def _write_output(rows: list, meta: dict, out: Optional[str], fmt: str) -> None:
             for row in rows:
                 lines.append(",".join(_format_cell(row.get(c, "")) for c in columns))
         text = "\n".join(lines) + "\n"
-    else:
-        raise SystemExit(f"unknown format {fmt!r}")
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -437,14 +399,30 @@ def _meta(args, config: dict) -> dict:
 def _get_scenario(name: str) -> Scenario:
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
-        raise SystemExit(f"unknown scenario {name!r} (known: {known})")
+        _usage_error(f"unknown scenario {name!r} (known: {known})")
     return SCENARIOS[name]
+
+
+def _solve(scenario: Scenario, overrides: dict, side: Callable, *args, at: str = ""):
+    """Call one side of a scenario. A ValueError from the model (a
+    NonAbsorbingChainError among them) is a usage error naming the scenario,
+    its overrides and, in a sweep, the grid point."""
+    try:
+        return side(*args)
+    except ValueError as exc:
+        where = f"scenario {scenario.name!r}"
+        if overrides:
+            where += " with " + " ".join(f"{key}={text}" for key, text in overrides.items())
+        if at:
+            where += f" at {at}"
+        _usage_error(f"{where}: {exc}")
 
 
 def run_analyze(args) -> None:
     scenario = _get_scenario(args.scenario)
-    params = _resolve_params(scenario, _collect_overrides(args))
-    row = scenario.analyze(params)
+    overrides = _collect_overrides(args)
+    params = _resolve_params(scenario, overrides)
+    row = _solve(scenario, overrides, scenario.analyze, params)
     config = {"command": "analyze", "scenario": scenario.name, "params": params}
     _write_output([row], _meta(args, config), args.out, args.format)
 
@@ -452,9 +430,9 @@ def run_analyze(args) -> None:
 def sweep_values(start: float, stop: float, step: float, kind: type) -> list:
     """Inclusive grid from start to stop; integer parameters must land on ints."""
     if step <= 0:
-        raise SystemExit("--step must be positive")
+        _usage_error("--step must be positive")
     if stop < start:
-        raise SystemExit("--to must not be below --from")
+        _usage_error("--to must not be below --from")
     values = []
     i = 0
     while True:
@@ -464,13 +442,13 @@ def sweep_values(start: float, stop: float, step: float, kind: type) -> list:
         if kind is int:
             rounded = round(raw)
             if abs(raw - rounded) > 1e-9:
-                raise SystemExit(f"parameter grid value {raw} is not an integer")
+                _usage_error(f"parameter grid value {raw} is not an integer")
             values.append(int(rounded))
         else:
             values.append(float(raw))
         i += 1
     if not values:
-        raise SystemExit("empty sweep range")
+        _usage_error("empty sweep range")
     return values
 
 
@@ -478,18 +456,20 @@ def run_sweep(args) -> None:
     scenario = _get_scenario(args.scenario)
     if args.param not in scenario.params:
         known = ", ".join(sorted(scenario.params))
-        raise SystemExit(f"unknown sweep parameter {args.param!r} (known: {known})")
-    base = _resolve_params(scenario, _collect_overrides(args))
+        _usage_error(f"unknown sweep parameter {args.param!r} (known: {known})")
+    overrides = _collect_overrides(args)
+    base = _resolve_params(scenario, overrides)
     kind = scenario.params[args.param].kind
     if kind is str:
-        raise SystemExit(f"parameter {args.param!r} is not numeric, cannot sweep it")
+        _usage_error(f"parameter {args.param!r} is not numeric, cannot sweep it")
     values = sweep_values(args.sweep_from, args.sweep_to, args.step, kind)
     rows = []
     for value in values:
         point = dict(base)
         point[args.param] = value
         row = {args.param: value}
-        row.update(scenario.analyze(point))
+        row.update(_solve(scenario, overrides, scenario.analyze, point,
+                          at=f"{args.param}={value}"))
         rows.append(row)
     config = {"command": "sweep", "scenario": scenario.name, "params": base,
               "param": args.param, "from": args.sweep_from, "to": args.sweep_to,
@@ -500,10 +480,11 @@ def run_sweep(args) -> None:
 def run_simulate(args) -> None:
     scenario = _get_scenario(args.scenario)
     if scenario.simulate is None:
-        raise SystemExit(f"scenario {scenario.name!r} has no Monte Carlo form")
-    params = _resolve_params(scenario, _collect_overrides(args))
-    row = scenario.analyze(params)
-    row.update(scenario.simulate(params, args.trials, args.seed))
+        _usage_error(f"scenario {scenario.name!r} has no Monte Carlo form")
+    overrides = _collect_overrides(args)
+    params = _resolve_params(scenario, overrides)
+    row = _solve(scenario, overrides, scenario.analyze, params)
+    row.update(_solve(scenario, overrides, scenario.simulate, params, args.trials, args.seed))
     config = {"command": "simulate", "scenario": scenario.name, "params": params,
               "trials": args.trials, "seed": args.seed}
     _write_output([row], _meta(args, config), args.out, args.format)
@@ -511,8 +492,10 @@ def run_simulate(args) -> None:
 
 def _load_outcomes(args) -> tuple:
     delimiter = {"tab": "\t", "comma": ","}.get(args.delimiter, args.delimiter)
+    if len(delimiter) != 1:
+        _usage_error(f"--delimiter must be tab, comma or one character, got {args.delimiter!r}")
     diagnostics: list = []
-    with open(args.outcomes, encoding="utf-8") as handle:
+    with _open_input(args.outcomes) as handle:
         records = parse_outcome_rows(handle, delimiter=delimiter,
                                      has_header=args.header, diagnostics=diagnostics)
     if args.nailbiter_only:
@@ -532,9 +515,9 @@ def _load_traces(args) -> tuple:
         try:
             auction_id = int(stem)
         except ValueError:
-            raise SystemExit(f"trace file name must be the auction id, got {stem!r}")
+            _usage_error(f"trace file name must be the auction id, got {stem!r}")
         rejected: list = []
-        with open(path, encoding="utf-8") as handle:
+        with _open_input(path) as handle:
             probes = parse_trace_file(handle, rejected)
         if rejected:
             malformed += 1
@@ -625,7 +608,7 @@ def run_trace_report(args) -> None:
             for o in offsets:
                 total, count = sums[o]
                 meta[f"mean_fraction_at_{int(o)}s"] = total / count if count else math.nan
-    elif args.report == "bidpacks":
+    else:
         histories, skipped = _load_traces(args)
         meta.update(skipped)
         report = bidpack_cost(records, traces=histories or None,
@@ -634,8 +617,6 @@ def run_trace_report(args) -> None:
                  "cost_cents": b.cost_cents, "value_cents": b.value_cents}
                 for b in report.buyers]
         meta.update(cost_ratio=report.cost_ratio, traced_auctions=report.traced_auctions)
-    else:
-        raise SystemExit(f"unknown report {args.report!r}")
     meta["outcome_rows_rejected"] = len(diagnostics)
     config = {"command": "trace", "report": args.report, "outcomes": str(args.outcomes),
               "traces": sorted(str(t) for t in (args.traces or [])),
@@ -648,6 +629,19 @@ def run_trace_report(args) -> None:
 
 # ---------------------------------------------------------------------------
 # Argument parsing
+
+
+def _offsets(text: str) -> str:
+    """--at: comma-separated seconds. The text is kept as typed, since the
+    configuration hash records it."""
+    for piece in text.split(",") if text else ():
+        try:
+            seconds = float(piece)
+        except ValueError:
+            seconds = math.nan
+        if not math.isfinite(seconds):
+            raise argparse.ArgumentTypeError(f"expected comma-separated seconds, got {text!r}")
+    return text
 
 
 def _add_model_flags(sub, with_trials: bool) -> None:
@@ -699,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--min-len", type=int, default=10, help="minimum duel length")
     trace.add_argument("--interval", type=float, default=60.0, help="sampling interval, seconds")
     trace.add_argument("--window", type=float, default=900.0, help="activity window, seconds")
-    trace.add_argument("--at", default="600,300",
+    trace.add_argument("--at", default="600,300", type=_offsets,
                        help="offsets before end (seconds) to average in the active report")
     trace.add_argument("--threshold", type=float, default=3.0,
                        help="aggression threshold, bids^2 per second")

@@ -440,6 +440,8 @@ def simulate_committed(spec: AuctionSpec, retail_multiplier: float, trials: int,
     one while (own bids + 1) * b plus the winning price stays strictly below
     the retail backstop; losing paths top up to retail with fees credited.
     """
+    if not math.isfinite(retail_multiplier):
+        raise ValueError(f"retail multiplier must be finite, got {retail_multiplier}")
     if retail_multiplier <= 1.0:
         raise ValueError("the committed strategy needs a retail price above the item value")
     if trials < 1:

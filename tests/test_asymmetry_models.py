@@ -509,6 +509,13 @@ def test_committed_overshoot_note():
     assert any("overshoot" in note for note in out.notes)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_committed_policy_rejects_a_non_finite_multiplier(alpha):
+    # an infinite backstop would keep the fixed-price stop-rule search running forever
+    with pytest.raises(ValueError, match="finite"):
+        CommittedPolicy(alpha)
+
+
 def test_committed_loss_is_bounded_by_the_backstop():
     # losing costs exactly retail - v; winning costs strictly less
     for alpha in (1.1, 1.3, 2.0):

@@ -10,13 +10,25 @@ import pytest
 
 from paybid import __version__
 from paybid.asymmetry_models import (
+    CommittedPolicy,
+    PopulationBelief,
+    ShillPolicy,
     ascending_underestimate_revenue,
+    bidfee_asymmetry_chain,
+    collusion_chain,
+    committed_player_profit,
+    mixed_estimates_chain,
+    shill_profit,
+    uncertain_population_beta,
     underestimate_uniform,
+    valuation_asymmetry_chain,
 )
 from paybid.cli import main, sweep_values
 from paybid.core_model import AuctionSpec
+from paybid.markov_engine import absorption_closed_form
 
 FIX = AuctionSpec.fixed_price(100, 1, 0, 50)
+ASC = AuctionSpec.ascending(100, 1, 0.25, 50)
 
 
 def run(tmp_path, *argv, fmt="csv", name="out"):
@@ -87,6 +99,92 @@ def test_analyze_json(tmp_path):
     assert list(payload["rows"][0].keys()) == sorted(payload["rows"][0].keys())
 
 
+def _chain_row(chain, **echo):
+    summary = absorption_closed_form(chain)
+    return summary, {**echo, "expected_revenue": summary.expected_revenue}
+
+
+def _expected_mixed():
+    summary, row = _chain_row(mixed_estimates_chain(FIX, 10), k=10)
+    return {**row, "expected_bids": summary.expected_bids,
+            "win_prob_underestimators": float(summary.win_probs[0])}
+
+
+def _expected_uncertain():
+    result = uncertain_population_beta(FIX, PopulationBelief((30, 70), (0.5, 0.5)))
+    return {"beta_known": result.beta_known, "beta_uncertain": result.beta_uncertain,
+            "uplift": result.beta_uncertain - result.beta_known,
+            "residual": result.residual}
+
+
+def _expected_bidfee():
+    summary, row = _chain_row(bidfee_asymmetry_chain(FIX, 5, 0.5, 1.0),
+                              k=5, b_a=0.5, b_b=1.0)
+    return {**row, "expected_bids": summary.expected_bids,
+            "win_prob_cheap_group": float(summary.win_probs[0])}
+
+
+def _expected_valuation():
+    summary, row = _chain_row(valuation_asymmetry_chain(FIX, 25, 2.0), k=25, alpha=2.0)
+    return {**row, "win_prob_offvalue_group": float(summary.win_probs[0])}
+
+
+def _expected_collusion():
+    summary, row = _chain_row(collusion_chain(FIX, 5, "many_bidders"),
+                              k=5, coordination="many_bidders")
+    ring, outsider = float(summary.win_probs[0]), float(summary.win_probs[1]) / 45
+    return {**row, "ring_win_prob": ring, "per_outsider_win_prob": outsider,
+            "win_ratio": ring / outsider}
+
+
+def _expected_shill():
+    outcome = shill_profit(ASC, ShillPolicy(entry_prob=1.0, bid_budget=10, identities=1))
+    return {"rho": 1.0, "L": 10, "identities": 1, "expected_profit": outcome.expected_profit,
+            "win_prob_shill": outcome.win_prob_shill}
+
+
+def _expected_committed():
+    outcome = committed_player_profit(ASC, CommittedPolicy(retail_multiplier=1.5))
+    return {"alpha": 1.5, "player_profit": outcome.player_profit,
+            "auctioneer_profit": outcome.auctioneer_profit,
+            "committed_win_prob": outcome.committed_win_prob}
+
+
+# scenario -> (library row at the defaults, Monte Carlo columns or None)
+EVERY_SCENARIO = {
+    "underestimate": (lambda: dict(zip(("k", "mu", "expected_revenue"),
+                                       (5, *underestimate_uniform(FIX, 5)))),
+                      ["mc_revenue", "mc_se", "mc_success_rate"]),
+    "mixed": (_expected_mixed, ["mc_revenue", "mc_se", "mc_win_prob_underestimators"]),
+    "uncertain": (_expected_uncertain, None),
+    "bidfee": (_expected_bidfee, ["mc_revenue", "mc_se", "mc_bids", "mc_bids_se"]),
+    "valuation": (_expected_valuation,
+                  ["mc_revenue", "mc_se", "mc_win_prob_offvalue_group"]),
+    "collusion": (_expected_collusion,
+                  ["mc_revenue", "mc_se", "mc_ring_win_prob", "mc_ring_win_se"]),
+    "shill": (_expected_shill, ["mc_profit", "mc_se", "mc_win_prob_shill"]),
+    "committed": (_expected_committed,
+                  ["mc_player_profit", "mc_player_se", "mc_auctioneer_profit",
+                   "mc_auctioneer_se", "mc_max_player_loss"]),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(EVERY_SCENARIO))
+def test_every_scenario_columns_and_values(tmp_path, scenario):
+    expected_row, mc_columns = EVERY_SCENARIO[scenario]
+    expected = expected_row()
+    header, rows = csv_rows(run(tmp_path, "analyze", "--scenario", scenario, name="a"))
+    assert header == list(expected)
+    # numbers as repr of the library value, a chosen rule name as typed
+    assert rows[0] == {column: value if isinstance(value, str) else repr(value)
+                       for column, value in expected.items()}
+    if mc_columns is None:
+        return
+    header, _ = csv_rows(run(tmp_path, "simulate", "--scenario", scenario,
+                             "--trials", "200", "--seed", "1", name="s"))
+    assert header == list(expected) + mc_columns
+
+
 def test_analyze_stdout(tmp_path, capsys):
     assert main(["analyze", "--scenario", "underestimate"]) == 0
     text = capsys.readouterr().out
@@ -129,6 +227,44 @@ def test_bad_invocations_exit(tmp_path):
     ):
         with pytest.raises(SystemExit):
             main(argv)
+
+
+def usage_error(capsys, argv):
+    """Run the CLI expecting a usage error; return the stderr lines."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["analyze", "--scenario", "underestimate", "--set", "k=60"],
+     "scenario 'underestimate' with k=60: "),
+    (["analyze", "--scenario", "uncertain", "--set", "spread=0"],
+     "scenario 'uncertain' with spread=0: "),
+    (["sweep", "--scenario", "uncertain", "--param", "spread", "--from", "0", "--to", "10",
+      "--step", "5"], "scenario 'uncertain' at spread=0: "),
+    (["sweep", "--scenario", "collusion", "--param", "k", "--from", "1", "--to", "9",
+      "--step", "4"], "scenario 'collusion' at k=1: "),
+    (["simulate", "--scenario", "mixed", "--set", "k=60", "--trials", "10"],
+     "scenario 'mixed' with k=60: "),
+    (["analyze", "--scenario", "shill", "--set", "variant=nope"],
+     "scenario 'shill' with variant=nope: variant must be"),
+    (["analyze", "--scenario", "collusion", "--set", "coordination=nope"],
+     "scenario 'collusion' with coordination=nope: coordination must be"),
+    (["analyze", "--scenario", "committed", "--set", "alpha=inf"],
+     "scenario 'committed' with alpha=inf: retail multiplier must be finite"),
+    (["analyze", "--scenario", "committed", "--set", "alpha=nan"],
+     "scenario 'committed' with alpha=nan: retail multiplier must be finite"),
+    (["simulate", "--scenario", "committed", "--set", "variant=fixed", "--set", "alpha=nan",
+      "--trials", "10"], "scenario 'committed' with variant=fixed alpha=nan: retail"),
+], ids=["underestimate-k", "uncertain-spread", "sweep-spread", "sweep-ring", "simulate-mixed",
+        "variant", "coordination", "alpha-inf", "alpha-nan", "simulate-alpha-nan"])
+def test_model_error_is_a_one_line_usage_error(tmp_path, capsys, argv, where):
+    lines = usage_error(capsys, [*argv, "--out", str(tmp_path / "x.csv")])
+    assert len(lines) == 1
+    assert lines[0].startswith("paybid: error: " + where)
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +548,32 @@ def test_trace_file_name_must_be_auction_id(tmp_path):
     with pytest.raises(SystemExit, match="auction id"):
         main(["trace", "--report", "duels", "--outcomes", str(outcomes),
               "--traces", str(stray), "--out", str(tmp_path / "x.csv")])
+
+
+def test_trace_offsets_must_be_seconds(tmp_path, capsys):
+    outcomes = tmp_path / "outcomes.tsv"
+    outcomes.write_text(EXAMPLE_ROW + "\n", encoding="utf-8")
+    lines = usage_error(capsys, ["trace", "--report", "active", "--outcomes", str(outcomes),
+                                 "--at", "600,abc", "--out", str(tmp_path / "x.csv")])
+    assert lines[-1].endswith("argument --at: expected comma-separated seconds, got '600,abc'")
+
+
+def test_trace_delimiter_must_be_one_character(tmp_path, capsys):
+    outcomes = tmp_path / "outcomes.tsv"
+    outcomes.write_text(EXAMPLE_ROW + "\n", encoding="utf-8")
+    lines = usage_error(capsys, ["trace", "--report", "margins", "--outcomes", str(outcomes),
+                                 "--delimiter", "ab", "--out", str(tmp_path / "x.csv")])
+    assert lines == ["paybid: error: --delimiter must be tab, comma or one character, "
+                     "got 'ab'"]
+
+
+@pytest.mark.parametrize("flags", [["trace", "--report", "margins", "--outcomes"],
+                                   ["analyze", "--scenario", "underestimate", "--config"]],
+                         ids=["outcomes", "config"])
+def test_missing_input_file_is_a_usage_error(tmp_path, capsys, flags):
+    missing = str(tmp_path / "missing.txt")
+    lines = usage_error(capsys, [*flags, missing, "--out", str(tmp_path / "x.csv")])
+    assert lines == [f"paybid: error: cannot read {missing}: No such file or directory"]
 
 
 def test_import_loads_no_scipy():

@@ -153,6 +153,13 @@ def test_committed_loss_never_exceeds_backstop_gap():
     assert np.allclose(lost, -5.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_committed_simulation_rejects_a_non_finite_multiplier(alpha):
+    # a small round cap keeps an unchecked infinite backstop from running long
+    with pytest.raises(ValueError, match="finite"):
+        simulate_committed(TINY, alpha, 10, seed=1, max_rounds=100)
+
+
 def test_committed_simulation_is_deterministic():
     one = simulate_committed(TINY, 1.25, 5_000, seed=2)
     two = simulate_committed(TINY, 1.25, 5_000, seed=2)
