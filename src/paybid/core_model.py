@@ -50,7 +50,8 @@ def to_cents(amount) -> int:
     """Convert a dollar amount to an exact integer number of cents.
 
     Accepts int, str, Decimal, or float. Floats are read through repr so that
-    0.1 means ten cents. Sub-cent amounts are rejected rather than rounded.
+    0.1 means ten cents. Sub-cent amounts are rejected rather than rounded,
+    and so are infinities and NaN.
     """
     if isinstance(amount, bool):
         raise TypeError("bool is not a currency amount")
@@ -60,6 +61,8 @@ def to_cents(amount) -> int:
         d = Decimal(repr(amount)) if isinstance(amount, float) else Decimal(str(amount))
     except InvalidOperation as exc:
         raise ValueError(f"not a currency amount: {amount!r}") from exc
+    if not d.is_finite():
+        raise ValueError(f"currency amount is not finite: {amount!r}")
     cents = d * 100
     if cents != cents.to_integral_value():
         raise ValueError(f"sub-cent amount not representable: {amount!r}")

@@ -16,10 +16,11 @@ would make them silently wrong, such as bid events without timestamps.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -62,6 +63,8 @@ def _dollars_to_cents(text: str, what: str) -> int:
         d = Decimal(text)
     except InvalidOperation as exc:
         raise ValueError(f"{what}: not a dollar amount: {text!r}") from exc
+    if not d.is_finite():
+        raise ValueError(f"{what}: dollar amount is not finite: {text!r}")
     cents = d * 100
     if cents != cents.to_integral_value():
         raise ValueError(f"{what}: sub-cent dollar amount: {text!r}")
@@ -76,7 +79,7 @@ def _flag(text: str, what: str) -> bool:
     raise ValueError(f"{what}: flag must be 0 or 1, got {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuctionOutcomeRecord:
     """One finished auction from the outcomes table. Money in integer cents."""
 
@@ -156,7 +159,7 @@ def parse_outcome_rows(
     return records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BidEvent:
     """One bid as reported in a probe's bh field."""
 
@@ -168,36 +171,33 @@ class BidEvent:
     timestamp: Optional[float] = None
 
 
-def _parse_bh(raw: str) -> tuple:
+def _parse_bh(raw: str, observed_at: Optional[float]) -> tuple:
+    """The bh field's bid tuples as events stamped with observed_at."""
     if raw == "":
         return ()
-    bids = []
     pieces = raw.split("#")
-    if pieces[-1] != "":
+    if pieces.pop() != "":
         raise ValueError("bh field does not end with its '#' terminator")
-    for i, piece in enumerate(pieces[:-1]):
-        parts = piece.split(":")
-        if len(parts) != 6 or parts[5] != "":
-            raise ValueError(f"malformed bid tuple {i} in bh field: {piece!r}")
+    if len(pieces) > 10:
+        raise ValueError(f"bh field lists {len(pieces)} bids, the feed never sends more than 10")
+    bids = []
+    for i, piece in enumerate(pieces):
         try:
-            bids.append(BidEvent(
-                bidnumber=int(parts[0]),
-                username=parts[1],
-                bidtype=int(parts[2]),
-                price_cents=int(parts[3]),
-                yourbid=int(parts[4]),
-            ))
+            number, username, bidtype, price, yourbid, end = piece.split(":")
+            event = BidEvent(int(number), username, int(bidtype), int(price), int(yourbid),
+                             observed_at)
         except ValueError as exc:
             raise ValueError(f"malformed bid tuple {i} in bh field: {piece!r}") from exc
-    if len(bids) > 10:
-        raise ValueError(f"bh field lists {len(bids)} bids, the feed never sends more than 10")
+        if end:
+            raise ValueError(f"malformed bid tuple {i} in bh field: {piece!r}")
+        bids.append(event)
     for a, b in zip(bids, bids[1:]):
         if b.bidnumber <= a.bidnumber:
             raise ValueError("bid numbers within one bh field must increase strictly")
     return tuple(bids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeLine:
     """One status probe: ordered raw key=value pairs plus typed views.
 
@@ -229,25 +229,27 @@ def parse_probe_line(line: str, observed_at: Optional[float] = None) -> ProbeLin
     entries = []
     typed: dict = {}
     for chunk in line.split("|"):
-        if "=" not in chunk:
+        key, sep, value = chunk.partition("=")
+        if not sep:
             raise ValueError(f"probe chunk without '=': {chunk!r}")
-        key, value = chunk.split("=", 1)
         entries.append((key, value))
         if key in ("ct", "cs", "ra", "cp"):
             typed[key] = int(value)
         elif key == "cw":
             typed[key] = value
         elif key == "bh":
-            typed["bids"] = tuple(
-                replace(b, timestamp=observed_at) for b in _parse_bh(value)
-            )
+            typed["bids"] = _parse_bh(value, observed_at)
         elif key == "lui":
             typed["lui"] = tuple(int(x) for x in value.split("#")) if value else ()
     return ProbeLine(entries=tuple(entries), observed_at=observed_at, **typed)
 
 
 def parse_trace_file(lines: Iterable[str], diagnostics: Optional[list] = None) -> list:
-    """Parse '<epoch>\\t<probe>' lines into ProbeLine objects, in file order."""
+    """Parse '<epoch>\\t<probe>' lines into ProbeLine objects, in file order.
+
+    A line whose timestamp is not a finite number of seconds is rejected like
+    any other malformed line.
+    """
     probes = []
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -258,6 +260,8 @@ def parse_trace_file(lines: Iterable[str], diagnostics: Optional[list] = None) -
             if not probe_text:
                 raise ValueError("missing tab between timestamp and probe")
             stamp = float(stamp_text)
+            if not math.isfinite(stamp):
+                raise ValueError(f"timestamp is not finite: {stamp_text!r}")
             probes.append(parse_probe_line(probe_text, observed_at=stamp))
         except ValueError as exc:
             message = f"line {lineno}: {exc}"
@@ -309,7 +313,7 @@ def reconstruct_bids(probes: Sequence[ProbeLine]):
 # Metrics on outcome tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuctionMargin:
     auction_id: int
     bids_estimate: int
@@ -389,6 +393,8 @@ def _require_timestamps(bids: Sequence[BidEvent]) -> None:
     for b in bids:
         if b.timestamp is None:
             raise ValueError(f"bid {b.bidnumber} has no timestamp")
+        if not math.isfinite(b.timestamp):
+            raise ValueError(f"bid {b.bidnumber} has a non-finite timestamp: {b.timestamp!r}")
 
 
 def active_bidder_fraction(
@@ -409,16 +415,33 @@ def active_bidder_fraction(
     _require_timestamps(bids)
     if sample_interval <= 0 or window <= 0:
         raise ValueError("sample interval and window must be positive")
-    stamps = [b.timestamp for b in bids]
-    begin = min(stamps) if auction_start is None else auction_start
-    everyone = {b.username for b in bids}
-    total = len(everyone)
+    order = sorted(bids, key=lambda b: b.timestamp)
+    stamps = [b.timestamp for b in order]
+    users = [b.username for b in order]
+    begin = stamps[0] if auction_start is None else auction_start
+    counts = dict.fromkeys(users, 0)
+    total = len(counts)
+    # The window (at - window, at] is the index range [lo, hi) of the sorted
+    # stamps. Both ends only move back as the samples walk back in time, so
+    # each bid enters and leaves the per-user counts at most once.
+    active = 0
+    lo = hi = len(stamps)
     samples = []
     offset = 0.0
     while auction_end - offset >= begin:
         at = auction_end - offset
-        recent = {b.username for b in bids if at - window < b.timestamp <= at}
-        samples.append((offset, len(recent) / total))
+        new_lo = bisect.bisect_right(stamps, at - window)
+        new_hi = bisect.bisect_right(stamps, at)
+        for i in range(max(new_hi, lo), hi):
+            counts[users[i]] -= 1
+            if counts[users[i]] == 0:
+                active -= 1
+        for i in range(new_lo, min(lo, new_hi)):
+            counts[users[i]] += 1
+            if counts[users[i]] == 1:
+                active += 1
+        lo, hi = new_lo, new_hi
+        samples.append((offset, active / total))
         offset += sample_interval
     samples.reverse()
     return samples

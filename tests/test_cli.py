@@ -258,8 +258,13 @@ def usage_error(capsys, argv):
      "scenario 'committed' with alpha=nan: retail multiplier must be finite"),
     (["simulate", "--scenario", "committed", "--set", "variant=fixed", "--set", "alpha=nan",
       "--trials", "10"], "scenario 'committed' with variant=fixed alpha=nan: retail"),
+    (["analyze", "--scenario", "mixed", "--set", "v=inf"],
+     "scenario 'mixed' with v=inf: currency amount is not finite"),
+    (["analyze", "--scenario", "mixed", "--set", "v=nan"],
+     "scenario 'mixed' with v=nan: currency amount is not finite"),
 ], ids=["underestimate-k", "uncertain-spread", "sweep-spread", "sweep-ring", "simulate-mixed",
-        "variant", "coordination", "alpha-inf", "alpha-nan", "simulate-alpha-nan"])
+        "variant", "coordination", "alpha-inf", "alpha-nan", "simulate-alpha-nan", "value-inf",
+        "value-nan"])
 def test_model_error_is_a_one_line_usage_error(tmp_path, capsys, argv, where):
     lines = usage_error(capsys, [*argv, "--out", str(tmp_path / "x.csv")])
     assert len(lines) == 1
@@ -391,6 +396,19 @@ def test_trace_margins_report(tmp_path):
     assert len(csv_rows(filtered)[1]) == 1
 
 
+def test_trace_margins_skip_a_row_with_an_infinite_amount(tmp_path):
+    outcomes = tmp_path / "outcomes.tsv"
+    outcomes.write_text("\n".join([
+        EXAMPLE_ROW,
+        outcome_line(6, "tv", "TV", "Infinity", 12, 12, 6, 60, "y", 9),
+    ]) + "\n", encoding="utf-8")
+    text = run(tmp_path, "trace", "--report", "margins", "--outcomes", str(outcomes))
+    meta = meta_lines(text)
+    assert meta["outcome_rows_rejected"] == "1"
+    assert meta["included"] == "1"
+    assert [r["auction_id"] for r in csv_rows(text)[1]] == ["259070"]
+
+
 def test_trace_margins_comma_with_header(tmp_path):
     outcomes = tmp_path / "outcomes.csv"
     outcomes.write_text(
@@ -498,6 +516,24 @@ def test_trace_with_a_malformed_probe_line_is_skipped_and_counted(tmp_path):
     assert meta["traces_skipped_malformed"] == "1"
     assert meta["traces_skipped_incomplete"] == "0"
     assert meta["traces_skipped_inconsistent"] == "0"
+    assert meta["auctions_scanned"] == "0"
+
+
+@pytest.mark.parametrize("stamp", ["nan", "inf"])
+def test_trace_with_a_non_finite_probe_stamp_is_skipped_and_counted(tmp_path, stamp):
+    bad = tmp_path / "7.trace"
+    bad.write_text(
+        "1700000000\tct=1|cs=1|bh=1:a:1:6:0:#|lui=0#0#0#0\n"
+        f"{stamp}\tct=1|cs=1|bh=1:a:1:6:0:#2:b:1:12:0:#|lui=0#0#0#0\n",
+        encoding="utf-8")
+    outcomes = tmp_path / "outcomes.tsv"
+    outcomes.write_text(
+        outcome_line(7, "tv", "TV", 100, 0.12, 0.12, 6, 60, "b", 2) + "\n",
+        encoding="utf-8")
+    text = run(tmp_path, "trace", "--report", "duels", "--outcomes", str(outcomes),
+               "--traces", str(bad))
+    meta = meta_lines(text)
+    assert meta["traces_skipped_malformed"] == "1"
     assert meta["auctions_scanned"] == "0"
 
 

@@ -43,6 +43,12 @@ def test_to_cents_rejects_subcent_amounts():
         to_cents(1.005)
 
 
+@pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, "Infinity", "NaN", "sNaN"])
+def test_to_cents_rejects_non_finite_amounts(amount):
+    with pytest.raises(ValueError, match="not finite"):
+        to_cents(amount)
+
+
 def test_spec_requires_exactly_one_of_increment_or_price():
     with pytest.raises(ValueError):
         AuctionSpec(value_cents=10000, fee_cents=100, population=50)

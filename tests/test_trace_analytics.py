@@ -1,6 +1,7 @@
 """Outcome and probe parsing plus the empirical metrics, on synthetic data."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +63,12 @@ def test_example_outcome_row_field_for_field():
     assert rec.flg_beginnerauction is False
     assert rec.flg_fixedprice is False
     assert rec.flg_endprice is False
+    # a frozen value record: equal rows give equal, equally hashed records
+    again = parse_outcome_rows([EXAMPLE_ROW])[0]
+    assert again == rec and hash(again) == hash(rec)
+    assert parse_outcome_rows([EXAMPLE_ROW.replace("\t180\t", "\t181\t")])[0] != rec
+    with pytest.raises(FrozenInstanceError):
+        rec.retail_cents = 0
 
 
 def test_outcome_rows_empty_and_header():
@@ -107,6 +114,15 @@ def test_malformed_rows_are_skipped_with_diagnostics():
     subcent = EXAMPLE_ROW.replace("\t31.26\t31.26\t", "\t31.267\t31.26\t")
     assert parse_outcome_rows([subcent], diagnostics=diagnostics) == []
     assert diagnostics
+    # so are amounts that are not finite, rather than crashing the parse
+    diagnostics.clear()
+    infinite = [EXAMPLE_ROW.replace("\t180\t", f"\t{amount}\t")
+                for amount in ("Infinity", "-Infinity", "NaN", "sNaN")]
+    recs = parse_outcome_rows([*infinite, EXAMPLE_ROW], diagnostics=diagnostics)
+    assert [r.auction_id for r in recs] == [259070]
+    assert [d.split(": ", 2)[:2] for d in diagnostics] == [
+        [f"line {n}", "retail"] for n in range(1, 5)]
+    assert all("dollar amount is not finite" in d for d in diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +161,23 @@ def test_probe_unknown_keys_survive_roundtrip():
 
 def test_probe_many_bids_share_the_probe_timestamp():
     body = "".join(f"{n}:u{n}:1:{6 * n}:0:#" for n in range(1, 11))
-    p = parse_probe_line(f"ct=1|cs=1|bh={body}|lui=0#0#0#0", observed_at=77.0)
+    line = f"ct=1|cs=1|bh={body}|lui=0#0#0#0"
+    p = parse_probe_line(line, observed_at=77.0)
     assert len(p.bids) == 10
-    assert all(b.timestamp == 77.0 for b in p.bids)
+    assert all(b.timestamp == p.observed_at == 77.0 for b in p.bids)
     assert [b.bidnumber for b in p.bids] == list(range(1, 11))
+    # probes and events are frozen value records
+    again = parse_probe_line(line, observed_at=77.0)
+    assert again == p and hash(again) == hash(p)
+    assert again.bids[3] == p.bids[3] and hash(again.bids[3]) == hash(p.bids[3])
+    later = parse_probe_line(line, observed_at=78.0)
+    assert later != p
+    assert all(b.timestamp == 78.0 for b in later.bids)
+    assert later.bids[0] != p.bids[0]
+    with pytest.raises(FrozenInstanceError):
+        p.observed_at = 1.0
+    with pytest.raises(FrozenInstanceError):
+        p.bids[0].timestamp = 1.0
 
 
 def test_probe_rejects_too_many_or_unordered_bids():
@@ -163,6 +192,16 @@ def test_probe_malformed_tuple_names_the_index():
     with pytest.raises(ValueError) as err:
         parse_probe_line("ct=1|bh=5:a:1:30:0:#7:b:oops:42:0:#|lui=0#0#0#0")
     assert "tuple 1" in str(err.value)
+
+
+def test_trace_file_rejects_non_finite_stamps():
+    probe = "ct=1|cs=1|bh=1:a:1:6:0:#|lui=0#0#0#0"
+    diagnostics = []
+    lines = [f"{stamp}\t{probe}" for stamp in ("nan", "inf", "-inf", "1260000000")]
+    probes = parse_trace_file(lines, diagnostics=diagnostics)
+    assert [p.observed_at for p in probes] == [1260000000.0]
+    assert [d.split(":")[0] for d in diagnostics] == ["line 1", "line 2", "line 3"]
+    assert all("not finite" in d for d in diagnostics)
 
 
 def test_trace_file_lines_carry_observed_at():
@@ -265,6 +304,48 @@ def test_active_fraction_uniform_arrivals():
 def test_active_fraction_requires_bids():
     with pytest.raises(ValueError):
         active_bidder_fraction([], auction_end=100.0)
+
+
+@pytest.mark.parametrize("stamp", [math.nan, math.inf, -math.inf])
+def test_metrics_reject_non_finite_stamps(stamp):
+    bids = [bid(1, "a", 10.0), bid(2, "b", stamp), bid(3, "a", 30.0)]
+    with pytest.raises(ValueError, match="bid 2 has a non-finite timestamp"):
+        active_bidder_fraction(bids, auction_end=30.0, auction_start=0.0)
+    with pytest.raises(ValueError, match="bid 2 has a non-finite timestamp"):
+        bidder_stats(bids, 100, 6, "a")
+
+
+def quadratic_active_fraction(bids, auction_end, sample_interval, window, auction_start):
+    """active_bidder_fraction by its definition: rescan every bid per sample."""
+    begin = min(b.timestamp for b in bids) if auction_start is None else auction_start
+    total = len({b.username for b in bids})
+    samples = []
+    offset = 0.0
+    while auction_end - offset >= begin:
+        at = auction_end - offset
+        recent = {b.username for b in bids if at - window < b.timestamp <= at}
+        samples.append((offset, len(recent) / total))
+        offset += sample_interval
+    samples.reverse()
+    return samples
+
+
+@settings(max_examples=300, deadline=None)
+@given(stamped=st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                                  st.sampled_from("abcde")), min_size=1, max_size=40),
+       unit=st.sampled_from([1.0, 0.25, 0.1]),
+       interval=st.integers(min_value=1, max_value=12),
+       ratio=st.sampled_from([0.5, 1.0, 2.5]) | st.floats(min_value=0.05, max_value=8.0),
+       end=st.integers(min_value=0, max_value=45),
+       start=st.none() | st.integers(min_value=-5, max_value=45))
+def test_active_fraction_matches_the_quadratic_definition(stamped, unit, interval, ratio,
+                                                          end, start):
+    # stamps on a grid repeat and land exactly on window edges; a unit of 0.1
+    # makes the edges inexact floats, so membership must use the same bounds
+    bids = [bid(i + 1, user, n * unit) for i, (n, user) in enumerate(stamped)]
+    args = (end * unit, interval * unit, interval * unit * ratio,
+            None if start is None else start * unit)
+    assert active_bidder_fraction(bids, *args) == quadratic_active_fraction(bids, *args)
 
 
 # ---------------------------------------------------------------------------
