@@ -24,7 +24,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -797,12 +797,7 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
     if alpha <= 1.0:
         return CommittedOutcome(0.0, 0.0, 0.0, 0.0,
                                 notes=("backstop at or below the item value, nothing to commit to",))
-    retail_c = alpha * spec.value_cents
-    price_c = spec.increment_cents if spec.is_ascending else spec.price_cents
-    # Stop rule: bid q = t+1 as the (c+1)-th own bid wins at the price after
-    # that bid; keep bidding only while that outlay stays strictly below
-    # retail. Cents arithmetic keeps the comparison exact.
-    if not spec.fee_cents + price_c < retail_c:
+    if not _committed_bids(spec, alpha, 0, 1):
         return CommittedOutcome(0.0, 0.0, 0.0, 0.0,
                                 notes=("even one bid would overshoot the retail backstop",))
     solve = _committed_by_bid_index if spec.is_ascending else _committed_by_bid_count
@@ -814,6 +809,38 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
         expected_total_bids=expected_bids,
         notes=(),
     )
+
+
+def _committed_bids(spec: AuctionSpec, alpha: float, c, q: int):
+    """The committed player's stop rule: with c own bids so far it places bid
+    q only while winning right after it, (c + 1) fees plus the price after
+    bid q, stays strictly below retail. Cents arithmetic keeps the comparison
+    exact; c may be an array of own-bid counts."""
+    price_c = spec.increment_cents * q if spec.is_ascending else spec.price_cents
+    return (c + 1) * spec.fee_cents + price_c < alpha * spec.value_cents
+
+
+def _committed_rows(spec: AuctionSpec) -> tuple[float, Iterator[tuple[float, float, float]]]:
+    """The committed model's per-bid scalars against n - 1 symmetric regulars.
+
+    Returns (share_first, rows). share_first is the committed player's share
+    of the opening lottery against n - 1 regulars. rows yields, for bid index
+    q = 2, 3, ... without end, (absorb_led, absorb_other, share): P(no
+    regular rebids over the committed player), P(no regular bids over a
+    regular) and the committed player's lottery share against n - 2
+    regulars. At a fixed price every index has the same scalars; in an
+    ascending auction the regulars stay silent past the last rational bid.
+    """
+    n = spec.population
+    share_first = _mean_inv_one_plus(n - 1, [symmetric_beta(spec, 1)])[0]
+    last = int(max_bids(spec)) + 1 if spec.is_ascending else 2
+    betas = [symmetric_beta(spec, q, first_bid=False) for q in range(2, last + 1)]
+    rows = zip([(1.0 - beta) ** (n - 1) for beta in betas],
+               [(1.0 - beta) ** (n - 2) for beta in betas],
+               _mean_inv_one_plus(n - 2, betas))
+    if not spec.is_ascending:
+        return share_first, itertools.repeat(next(rows))
+    return share_first, itertools.chain(rows, itertools.repeat((1.0, 1.0, 1.0)))
 
 
 def _mean_inv_one_plus(eligible: int, betas: Sequence[float]) -> list[float]:
@@ -856,19 +883,15 @@ def _committed_by_bid_count(spec: AuctionSpec, alpha: float) -> tuple[float, ...
     its source. Returns (player profit, auctioneer profit, committed win
     probability, expected total bids).
     """
-    n = spec.population
     v, b, price = spec.value, spec.fee, spec.price
     retail = alpha * v
     # the stop rule depends on c alone: c_stop is the first own-bid count at
     # which the committed player no longer bids
     c_stop = 0
-    while (c_stop + 1) * spec.fee_cents + spec.price_cents < alpha * spec.value_cents:
+    while _committed_bids(spec, alpha, c_stop, 2):
         c_stop += 1
-    share_first = _mean_inv_one_plus(n - 1, [symmetric_beta(spec, 1)])[0]
-    beta = symmetric_beta(spec, 2, first_bid=False)
-    absorb_led = (1.0 - beta) ** (n - 1)    # no regular rebids over the committed player
-    absorb_other = (1.0 - beta) ** (n - 2)  # no regular bids over a regular
-    share = _mean_inv_one_plus(n - 2, [beta])[0]
+    share_first, rows = _committed_rows(spec)
+    absorb_led, absorb_other, share = next(rows)
     player = auctioneer = win_committed = expected_bids = 0.0
     lifted_n = lifted_m = 0.0  # occupancy and time-weighted occupancy entering the next level
     for c in range(c_stop + 1):
@@ -899,35 +922,20 @@ def _committed_by_bid_count(spec: AuctionSpec, alpha: float) -> tuple[float, ...
 def _committed_by_bid_index(spec: AuctionSpec, alpha: float) -> tuple[float, ...]:
     """Ascending committed model stepped bid by bid over c-indexed vectors.
 
-    The regulars' probability, the two absorption probabilities and the
-    committed player's lottery share depend on the bid index alone, so they
-    are computed once per index for the whole rational range up front; past
-    it the regulars never bid. Returns the same tuple as
-    _committed_by_bid_count.
+    The per-bid scalars depend on the bid index alone and come from
+    _committed_rows, computed once for the whole rational range up front.
+    Returns the same tuple as _committed_by_bid_count.
     """
-    n = spec.population
     v = spec.value
     b = spec.fee
     retail = alpha * v
-    fee_c = float(spec.fee_cents)
-    retail_c = alpha * spec.value_cents
-    inc_c = float(spec.increment_cents)
 
-    # per bid index q = t + 1 for t = 1 .. Q: P(no regular rebids over the
-    # committed player), P(no regular bids over a regular), and the committed
-    # player's lottery share against n - 2 regulars
-    betas = [symmetric_beta(spec, q, first_bid=False) for q in range(2, int(max_bids(spec)) + 2)]
-    per_bid = list(zip([(1.0 - beta) ** (n - 1) for beta in betas],
-                       [(1.0 - beta) ** (n - 2) for beta in betas],
-                       _mean_inv_one_plus(n - 2, betas)))
-    regulars_silent = (1.0, 1.0, 1.0)
-
-    c_cap = int(math.ceil(retail_c / fee_c)) + 2
+    c_cap = int(math.ceil(alpha * spec.value_cents / spec.fee_cents)) + 2
     cs = np.arange(c_cap, dtype=float)
     p_led = np.zeros(c_cap)      # committed player leads, indexed by own bids
     p_other = np.zeros(c_cap)    # a regular leads
 
-    share_first = _mean_inv_one_plus(n - 1, [symmetric_beta(spec, 1)])[0]
+    share_first, rows = _committed_rows(spec)
     p_led[1] = share_first
     p_other[0] = 1.0 - share_first
 
@@ -935,11 +943,11 @@ def _committed_by_bid_index(spec: AuctionSpec, alpha: float) -> tuple[float, ...
     auctioneer = 0.0
     win_committed = 0.0
     expected_bids = 0.0
-    t = 1
     hard_cap = 10_000_000
     remaining = 1.0
-    while t < hard_cap:
-        absorb_led, absorb_other, share = per_bid[t - 1] if t <= len(per_bid) else regulars_silent
+    for t, (absorb_led, absorb_other, share) in enumerate(rows, start=1):
+        if t >= hard_cap:
+            break
         price = spec.increment * t
         # Committed player leads with c own bids: the n-1 regulars may rebid.
         won = p_led * absorb_led
@@ -952,7 +960,7 @@ def _committed_by_bid_index(spec: AuctionSpec, alpha: float) -> tuple[float, ...
         flow_led_to_other = p_led * (1.0 - absorb_led)
         # A regular leads: the committed player joins the lottery only while
         # the stop rule allows, against n-2 regular challengers.
-        allows = (cs + 1.0) * fee_c + inc_c * (t + 1) < retail_c
+        allows = _committed_bids(spec, alpha, cs, t + 1)
         blocked = p_other * (~allows)
         lost = blocked * absorb_other
         lost_mass = float(np.sum(lost))
@@ -971,7 +979,6 @@ def _committed_by_bid_index(spec: AuctionSpec, alpha: float) -> tuple[float, ...
         new_other = blocked * (1.0 - absorb_other) + active * (1.0 - share) + flow_led_to_other
         p_led = new_led
         p_other = new_other
-        t += 1
         remaining = float(p_led.sum() + p_other.sum())
         if remaining < 1e-15:
             break

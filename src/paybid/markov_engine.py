@@ -26,7 +26,8 @@ bid index of a range and builds every row of that range in one vectorized
 pass of the lottery, and build_transitions is its one-row case. A
 time-homogeneous chain needs one row per leader; evolve_recurrence reads
 that row, or for any other chain a table covering its whole horizon, and
-steps over plain floats.
+steps over plain floats. The vectorized simulators draw against the same
+rows.
 """
 
 from __future__ import annotations
@@ -396,18 +397,20 @@ _MAX_STEPS = 10_000_000
 
 
 def _rows_by_step(chain: TwoGroupChain, leader: str,
-                  block: int) -> Iterator[tuple[float, float, float]]:
-    """(to_a, to_b, absorb) out of `leader`'s state at q = 2, 3, ... as floats.
+                  horizon: Optional[int] = None) -> Iterator[tuple[float, float, float]]:
+    """(to_a, to_b, absorb) out of `leader`'s state at q = 2, 3, ... as floats,
+    without end.
 
     A group with no members never leads, so its rows just absorb. A
     time-homogeneous chain repeats its one row; any other chain reads row
-    tables of `block` bid indices each.
+    tables of min(horizon, _ROW_BLOCK) bid indices each.
     """
     if (chain.group_a_size if leader == "A" else chain.group_b_size) == 0:
         yield from itertools.repeat((0.0, 0.0, 1.0))
     elif chain.time_homogeneous:
         yield from itertools.repeat(tuple(chain.transitions(2, leader)))
     else:
+        block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
         for q in itertools.count(2, block):
             table = chain.row_table(leader, q, q + block)
             yield from zip(table.to_a.tolist(), table.to_b.tolist(), table.absorb.tolist())
@@ -442,8 +445,7 @@ def evolve_recurrence(
     end_b_hist: list[float] = []
     max_err = 0.0
     ended = 0.0
-    block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
-    rows = zip(_rows_by_step(chain, "A", block), _rows_by_step(chain, "B", block))
+    rows = zip(_rows_by_step(chain, "A", horizon), _rows_by_step(chain, "B", horizon))
     t = 1
     for (a_to_a, a_to_b, a_absorb), (b_to_a, b_to_b, b_absorb) in rows:
         p_a_hist.append(p_a)

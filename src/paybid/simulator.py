@@ -1,11 +1,15 @@
-"""Monte Carlo oracle for the analytic machinery.
+"""Monte Carlo checks of the analytic machinery.
 
 Two layers. simulate_one / estimate play the auction round by round at the
 level of individual players and policies; they are slow but assume nothing,
-so they can falsify the chain reduction itself. simulate_chain and
-simulate_committed run many trials of the reduced two-group (or committed
-player) dynamics in vectorized lockstep, fast enough for tight cross-checks
-against closed forms.
+so they are the independent check of the chain reduction itself, next to the
+tests that build rows by enumerating every coin outcome. simulate_chain,
+simulate_shill and simulate_committed run many trials of the reduced
+dynamics in vectorized lockstep: each round every live trial draws one
+uniform against the row the analytic code already builds (markov_engine's
+rows, shill_chain's two phases, the committed model's per-bid scalars and
+stop rule). Sharing the rows, they check the sums over those rows (closed
+form, recurrence, dynamic programs), fast enough for tight cross-checks.
 
 Randomness is counter-based (Philox). estimate gives every trial its own
 spawned stream, so results do not depend on how work is batched; the
@@ -16,13 +20,14 @@ just as reproducible for a fixed trial count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .asymmetry_models import _committed_bids, _committed_rows, shill_chain
 from .core_model import AuctionSpec, symmetric_beta
-from .markov_engine import TwoGroupChain
+from .markov_engine import TwoGroupChain, _rows_by_step
 
 __all__ = [
     "PlayerPolicy",
@@ -218,69 +223,47 @@ def simulate_chain(
 ) -> ChainEstimate:
     """Vectorized Monte Carlo of a two-group chain, all trials in lockstep.
 
-    Each round draws the two groups' head counts from binomials with the
-    proper eligible counts (the leader's group loses one coin; single_ticket
-    caps group A at one), then settles the uniform lottery. Statistics are
-    conditioned on the auction receiving an opening bid.
+    The opening bid is drawn against chain.opening_row(); every later round
+    each live trial draws one uniform against its leader's row at the
+    current bid index, the rows evolve_recurrence steps over: below absorb
+    the auction ends, below absorb + to_a group A places the bid, otherwise
+    group B does. Statistics are conditioned on the auction receiving an
+    opening bid.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    k_a, k_b = chain.group_a_size, chain.group_b_size
-    single = chain.tie_rule == "single_ticket"
-
-    ba0 = chain.beta_a(1, None) if k_a > 0 else 0.0
-    bb0 = chain.beta_b(1, None) if k_b > 0 else 0.0
-    ea0 = (1 if k_a > 0 else 0) if single else k_a
-    i = rng.binomial(ea0, ba0, size=trials)
-    j = rng.binomial(k_b, bb0, size=trials)
-    tot = i + j
-    success = tot > 0
+    opening = chain.opening_row()
     u = rng.random(trials)
-    leader_a = u * tot < i
-
-    bids_a = np.where(leader_a & success, 1, 0).astype(np.int64)
-    bids_b = np.where(~leader_a & success, 1, 0).astype(np.int64)
+    success = u >= opening.absorb
+    live = np.flatnonzero(success)
+    lead_a = u[live] < opening.absorb + opening.to_a
+    count_a = lead_a.astype(np.int64)
+    bids_a = np.zeros(trials, dtype=np.int64)
     total_bids = np.zeros(trials, dtype=np.int64)
     winner_a = np.zeros(trials, dtype=bool)
-    active = success.copy()
-    t = 1
-    while active.any():
+    rows = zip(_rows_by_step(chain, "A", chain.horizon), _rows_by_step(chain, "B", chain.horizon))
+    for t, ((a_to_a, _, a_absorb), (b_to_a, _, b_absorb)) in enumerate(rows, start=1):
+        if live.size == 0:
+            break
         if t > max_rounds:
             raise RuntimeError(f"chain simulation exceeded {max_rounds} rounds")
-        q = t + 1
-        idx = np.flatnonzero(active)
-        la = leader_a[idx]
-        beta_a_arr = np.where(la, chain.beta_a(q, "A") if k_a > 0 else 0.0,
-                              chain.beta_a(q, "B") if k_a > 0 else 0.0)
-        beta_b_arr = np.where(la, chain.beta_b(q, "A") if k_b > 0 else 0.0,
-                              chain.beta_b(q, "B") if k_b > 0 else 0.0)
-        if single:
-            elig_a = np.ones(idx.size, dtype=np.int64) if k_a > 0 else np.zeros(idx.size, dtype=np.int64)
-        else:
-            elig_a = k_a - la.astype(np.int64)
-        elig_b = k_b - (~la).astype(np.int64)
-        i = rng.binomial(elig_a, beta_a_arr)
-        j = rng.binomial(elig_b, beta_b_arr)
-        tot = i + j
-        ended = tot == 0
-        done_idx = idx[ended]
-        winner_a[done_idx] = la[ended]
-        total_bids[done_idx] = t
-        active[done_idx] = False
-        cont = ~ended
-        if cont.any():
-            u = rng.random(int(cont.sum()))
-            new_leader_a = u * tot[cont] < i[cont]
-            cont_idx = idx[cont]
-            leader_a[cont_idx] = new_leader_a
-            bids_a[cont_idx] += new_leader_a
-            bids_b[cont_idx] += ~new_leader_a
-        t += 1
+        u = rng.random(live.size)
+        ended = u < np.where(lead_a, a_absorb, b_absorb)
+        to_a_below = np.where(lead_a, a_absorb + a_to_a, b_absorb + b_to_a)
+        done = live[ended]
+        winner_a[done] = lead_a[ended]
+        total_bids[done] = t
+        bids_a[done] = count_a[ended]
+        go = ~ended
+        live, count_a = live[go], count_a[go]
+        lead_a = u[go] < to_a_below[go]
+        count_a += lead_a
 
     successes = int(success.sum())
     if successes == 0:
         raise RuntimeError("no trial received an opening bid")
+    bids_b = total_bids - bids_a
     revenue = (chain.fee_a * bids_a + chain.fee_b * bids_b
                + chain.increment * total_bids + chain.price)
     rev_s = revenue[success]
@@ -336,18 +319,12 @@ def simulate_shill(spec: AuctionSpec, policy, trials: int, seed: int = 0) -> Shi
 
     Trials where the shill stays out contribute exactly zero extra profit.
     Entered trials are played round by round, all in lockstep, and each
-    counts its own shill bids: while bids remain in the budget the shill
-    puts a ticket into every lottery it is eligible for (one identity: any
-    round a legitimate player leads; two identities: every round) and the
-    legitimate players flip coins at the active phase's probability; from
-    the shill's last budgeted bid on the shill is silent and they use the
-    spent phase's. Only the legitimate bid probabilities come from
-    shill_chain, so the run checks shill_profit's rows and recurrence
-    independently. Profit is legitimate fees plus the final price when a
-    legitimate player wins, minus the item in that case.
+    counts its own shill bids: a trial draws one uniform per round against
+    the row of shill_chain's phase in force for its count (active while bids
+    remain in the budget, spent from the last budgeted bid on) and its
+    leader, as in simulate_chain. Profit is legitimate fees plus the final
+    price when a legitimate player wins, minus the item in that case.
     """
-    from .asymmetry_models import shill_chain
-
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -359,44 +336,37 @@ def simulate_shill(spec: AuctionSpec, policy, trials: int, seed: int = 0) -> Shi
         return ShillSim(profits=profits, shill_won=shill_won, entered=entered)
 
     phases = shill_chain(spec, policy)
-    n = spec.population
-    # Opening round: no leader, the shill bids against n legitimate coins.
-    j = rng.binomial(n, phases.active.beta_b(1, None), size=n_in)
-    shill_leads = rng.random(n_in) * (1 + j) < 1
-    shill_bids = shill_leads.astype(np.int64)
-    legit_bids = (~shill_leads).astype(np.int64)
-    total_bids = np.ones(n_in, dtype=np.int64)
-    live = np.ones(n_in, dtype=bool)
-    t = 1
-    while live.any():
+    opening = phases.active.opening_row()  # the shill bids, so absorb == 0
+    shill_leads = rng.random(n_in) < opening.to_a
+    won = np.zeros(n_in, dtype=bool)
+    shill_bids = np.zeros(n_in, dtype=np.int64)
+    total_bids = np.zeros(n_in, dtype=np.int64)
+    live = np.arange(n_in)
+    placed = shill_leads.astype(np.int64)
+    # one row per (phase, leader), indexed by 2 * (bids remain) + (shill leads)
+    rows = zip(*(_rows_by_step(chain, leader)
+                 for chain in (phases.spent, phases.active) for leader in ("B", "A")))
+    for t, by_state in enumerate(rows, start=1):
+        if live.size == 0:
+            break
         if t > _MAX_SHILL_ROUNDS:
             raise RuntimeError(f"shill simulation exceeded {_MAX_SHILL_ROUNDS} rounds")
-        q = t + 1
-        idx = np.flatnonzero(live)
-        lead = shill_leads[idx]
-        bidding = shill_bids[idx] < policy.bid_budget
-        shill_ticket = bidding & ~lead if policy.identities == 1 else bidding
-        beta = np.where(
-            bidding,
-            np.where(lead, phases.active.beta_b(q, "A"), phases.active.beta_b(q, "B")),
-            np.where(lead, phases.spent.beta_b(q, "A"), phases.spent.beta_b(q, "B")),
-        )
-        # a leading legitimate player sits the round out
-        tickets = shill_ticket + rng.binomial(n - (~lead).astype(np.int64), beta)
-        ended = tickets == 0
-        live[idx[ended]] = False
-        go = idx[~ended]
-        to_shill = rng.random(go.size) * tickets[~ended] < shill_ticket[~ended]
-        shill_leads[go] = to_shill
-        shill_bids[go] += to_shill
-        legit_bids[go] += ~to_shill
-        total_bids[go] += 1
-        t += 1
+        to_a, _, absorb = np.array(by_state).T
+        state = 2 * (placed < policy.bid_budget) + shill_leads
+        u = rng.random(live.size)
+        ended = u < absorb[state]
+        done = live[ended]
+        won[done] = shill_leads[ended]
+        shill_bids[done] = placed[ended]
+        total_bids[done] = t
+        go = ~ended
+        live, placed = live[go], placed[go]
+        shill_leads = u[go] < (absorb + to_a)[state[go]]
+        placed += shill_leads
 
-    legit_win = ~shill_leads
     final_price = spec.increment * total_bids if spec.is_ascending else spec.price
-    profits[entered] = spec.fee * legit_bids + (final_price - spec.value) * legit_win
-    shill_won[entered] = shill_leads
+    profits[entered] = spec.fee * (total_bids - shill_bids) + (final_price - spec.value) * ~won
+    shill_won[entered] = won
     return ShillSim(profits=profits, shill_won=shill_won, entered=entered)
 
 
@@ -436,9 +406,13 @@ def simulate_committed(spec: AuctionSpec, retail_multiplier: float, trials: int,
                        seed: int = 0, max_rounds: int = 10_000_000) -> CommittedSim:
     """Vectorized trajectories of the committed player against symmetric rivals.
 
-    Mirrors the dynamic program: the committed player bids with probability
-    one while (own bids + 1) * b plus the winning price stays strictly below
-    the retail backstop; losing paths top up to retail with fees credited.
+    Reads the dynamic program's per-bid scalars and stop rule: each round a
+    live trial draws one uniform against them. A led trial ends with the
+    committed player winning below absorb_led; a trial led by a regular ends
+    below absorb_other once the stop rule bars the committed player, and
+    otherwise passes the lead to it below share. Losing paths top up to
+    retail with fees credited. When even the opening bid would overshoot the
+    backstop every outcome is zero, as in committed_player_profit.
     """
     if not math.isfinite(retail_multiplier):
         raise ValueError(f"retail multiplier must be finite, got {retail_multiplier}")
@@ -447,75 +421,38 @@ def simulate_committed(spec: AuctionSpec, retail_multiplier: float, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    n = spec.population
     v = spec.value
     b = spec.fee
-    fee_c = float(spec.fee_cents)
     retail = retail_multiplier * v
-    retail_c = retail_multiplier * spec.value_cents
-    inc_c = float(spec.increment_cents) if spec.is_ascending else 0.0
-
-    def price_at(t: int) -> float:
-        return spec.increment * t if spec.is_ascending else spec.price
-
     player = np.zeros(trials)
     auctioneer = np.zeros(trials)
     won = np.zeros(trials, dtype=bool)
     total = np.zeros(trials, dtype=np.int64)
-    c = np.zeros(trials, dtype=np.int64)
+    if not _committed_bids(spec, retail_multiplier, 0, 1):
+        return CommittedSim(player, auctioneer, won, total)
 
-    beta1 = symmetric_beta(spec, 1)
-    j0 = rng.binomial(n - 1, beta1, size=trials)
-    leader_c = rng.random(trials) * (1 + j0) < 1
-    c[leader_c] = 1
-    active = np.ones(trials, dtype=bool)
-    t = 1
-    while active.any():
+    share_first, rows = _committed_rows(spec)
+    leads = rng.random(trials) < share_first
+    own = leads.astype(np.int64)
+    live = np.arange(trials)
+    for t, (absorb_led, absorb_other, share) in enumerate(rows, start=1):
+        if live.size == 0:
+            break
         if t > max_rounds:
             raise RuntimeError("committed simulation did not terminate")
-        q = t + 1
-        try:
-            beta = symmetric_beta(spec, q, first_bid=False)
-        except ValueError:
-            beta = 0.0
-        idx = np.flatnonzero(active)
-        lc = leader_c[idx]
-
-        led = idx[lc]
-        if led.size:
-            jl = rng.binomial(n - 1, beta, size=led.size)
-            fin = jl == 0
-            done = led[fin]
-            if done.size:
-                player[done] = v - c[done] * b - price_at(t)
-                auctioneer[done] = b * t + price_at(t) - v
-                won[done] = True
-                total[done] = t
-                active[done] = False
-            leader_c[led[~fin]] = False
-
-        oth = idx[~lc]
-        if oth.size:
-            price_next_c = inc_c * (t + 1) if spec.is_ascending else float(spec.price_cents or 0)
-            allows = (c[oth] + 1) * fee_c + price_next_c < retail_c
-            stopped = oth[~allows]
-            if stopped.size:
-                js = rng.binomial(n - 2, beta, size=stopped.size)
-                fin = js == 0
-                done = stopped[fin]
-                if done.size:
-                    player[done] = v - retail
-                    auctioneer[done] = (b * t + price_at(t) - v) + (retail - c[done] * b) - v
-                    total[done] = t
-                    active[done] = False
-            bidding = oth[allows]
-            if bidding.size:
-                jb = rng.binomial(n - 2, beta, size=bidding.size)
-                grab = rng.random(bidding.size) * (1 + jb) < 1
-                took = bidding[grab]
-                leader_c[took] = True
-                c[took] += 1
-        t += 1
+        bids = ~leads & _committed_bids(spec, retail_multiplier, own, t + 1)
+        u = rng.random(live.size)
+        ended = u < np.where(leads, absorb_led, np.where(bids, 0.0, absorb_other))
+        done, done_won, done_own = live[ended], leads[ended], own[ended]
+        price = spec.increment * t if spec.is_ascending else spec.price
+        player[done] = np.where(done_won, v - done_own * b - price, v - retail)
+        auctioneer[done] = (b * t + price - v) + np.where(done_won, 0.0, (retail - done_own * b) - v)
+        won[done] = done_won
+        total[done] = t
+        go = ~ended
+        live, own = live[go], own[go]
+        leads = bids[go] & (u[go] < share)
+        own += leads
 
     return CommittedSim(
         player_profits=player,

@@ -286,6 +286,8 @@ def reconstruct_bids(probes: Sequence[ProbeLine]):
     for p in probes:
         if p.observed_at is None:
             raise ValueError("probes must carry observation timestamps")
+        if not math.isfinite(p.observed_at):
+            raise ValueError(f"probe observation timestamp is not finite: {p.observed_at!r}")
         if last_stamp is not None and p.observed_at < last_stamp:
             raise ValueError("probes must be sorted by observation time")
         last_stamp = p.observed_at
@@ -415,6 +417,9 @@ def active_bidder_fraction(
     _require_timestamps(bids)
     if sample_interval <= 0 or window <= 0:
         raise ValueError("sample interval and window must be positive")
+    for name, stamp in (("auction_end", auction_end), ("auction_start", auction_start)):
+        if stamp is not None and not math.isfinite(stamp):
+            raise ValueError(f"{name} is not finite: {stamp!r}")
     order = sorted(bids, key=lambda b: b.timestamp)
     stamps = [b.timestamp for b in order]
     users = [b.username for b in order]

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from paybid.core_model import AuctionSpec
-from paybid.markov_engine import evolve_recurrence
-from paybid.asymmetry_models import ShillPolicy, committed_player_profit, CommittedPolicy, underestimate_chain
+from paybid.markov_engine import absorption_closed_form, evolve_recurrence
+from paybid.asymmetry_models import (ShillPolicy, committed_player_profit, CommittedPolicy,
+                                     underestimate_chain, valuation_asymmetry_chain)
 from paybid.simulator import (
     PlayerPolicy,
     estimate,
@@ -69,6 +70,32 @@ def test_estimate_is_deterministic():
     assert one.mean_revenue == two.mean_revenue
     assert one.successes == two.successes
     assert one.win_probs == two.win_probs
+
+
+def test_estimate_matches_the_valuation_chain():
+    """The player-level oracle against the two-group reduction of an
+    asymmetric game: simulate_chain draws the chain's own rows, so only this
+    check and the row enumeration tests stand outside the chain. Valuation
+    betas depend on the bid index and whether it is the opening bid alone,
+    which a PlayerPolicy can express. Bid-fee betas also depend on which
+    group leads, which a PlayerPolicy cannot see, so the bidfee chain has no
+    oracle test."""
+    spec = AuctionSpec.fixed_price(10, 1, 0, 4)
+    chain = valuation_asymmetry_chain(spec, 2, 2.0)
+    exact = absorption_closed_form(chain)
+
+    def policy(beta, group):
+        # any leader stands for "not the opening bid": these betas ignore it
+        return PlayerPolicy(bid_probability=lambda q, first, spend: beta(q, None if first else "B"),
+                            fee=spec.fee, group=group)
+
+    policies = [policy(chain.beta_a, "A")] * 2 + [policy(chain.beta_b, "B")] * 2
+    est = estimate(spec, policies, trials=12_000, seed=23)
+    assert abs(est.mean_revenue - exact.expected_revenue) <= 3 * est.se_revenue
+    p_a = float(exact.win_probs[0])
+    assert abs(est.win_probs["A"] - p_a) <= 3 * math.sqrt(p_a * (1 - p_a) / est.successes)
+    opened = 1.0 - chain.opening_row().absorb
+    assert abs(est.success_rate - opened) <= 3 * math.sqrt(opened * (1 - opened) / est.trials)
 
 
 def test_chain_simulation_matches_recurrence():
@@ -143,6 +170,29 @@ def test_committed_simulation_matches_dynamic_program():
     assert abs(mc.auctioneer_profits.mean() - dp.auctioneer_profit) <= 3 * se_a
     se_w = math.sqrt(dp.committed_win_prob * (1 - dp.committed_win_prob) / 200_000)
     assert abs(mc.committed_won.mean() - dp.committed_win_prob) <= 3 * se_w
+
+
+def test_fixed_price_committed_simulation_matches_dynamic_program():
+    spec = AuctionSpec.fixed_price(10, 1, 0, 4)
+    dp = committed_player_profit(spec, CommittedPolicy(1.5))
+    mc = simulate_committed(spec, 1.5, 50_000, seed=41)
+    assert abs(mc.mean_player_profit - dp.player_profit) <= 3 * mc.se_player_profit
+    assert abs(mc.mean_auctioneer_profit - dp.auctioneer_profit) <= 3 * mc.se_auctioneer_profit
+    se_w = math.sqrt(dp.committed_win_prob * (1 - dp.committed_win_prob) / 50_000)
+    assert abs(mc.committed_win_prob - dp.committed_win_prob) <= 3 * se_w
+
+
+def test_committed_simulation_keeps_the_stop_rule_at_the_opening_bid():
+    # one fee plus the fixed price already reach retail, so the committed
+    # player never bids and every outcome is the dynamic program's zero
+    spec = AuctionSpec.fixed_price(100, 1, 99.5, 5)
+    dp = committed_player_profit(spec, CommittedPolicy(1.001))
+    assert (dp.player_profit, dp.auctioneer_profit, dp.committed_win_prob) == (0.0, 0.0, 0.0)
+    mc = simulate_committed(spec, 1.001, 1_000, seed=1)
+    assert (mc.player_profits == 0.0).all()
+    assert (mc.auctioneer_profits == 0.0).all()
+    assert not mc.committed_won.any()
+    assert (mc.total_bids == 0).all()
 
 
 def test_committed_loss_never_exceeds_backstop_gap():

@@ -234,6 +234,15 @@ def test_reconstruct_deduplicates_and_keeps_first_sighting():
         reconstruct_bids([probe([5, 6], 10.0), probe([3], 20.0)])
 
 
+@pytest.mark.parametrize("stamp", [math.nan, math.inf, -math.inf])
+def test_reconstruct_rejects_a_non_finite_observation_stamp(stamp):
+    # NaN fails every ordering comparison, so only an explicit check sees it
+    probes = [parse_probe_line(f"ct=1|cs=1|bh={n}:u{n}:1:{6 * n}:0:#|lui=0#0#0#0", observed_at=t)
+              for n, t in ((1, 10.0), (2, stamp))]
+    with pytest.raises(ValueError, match="observation timestamp is not finite"):
+        reconstruct_bids(probes)
+
+
 # ---------------------------------------------------------------------------
 # profit margins
 
@@ -313,6 +322,18 @@ def test_metrics_reject_non_finite_stamps(stamp):
         active_bidder_fraction(bids, auction_end=30.0, auction_start=0.0)
     with pytest.raises(ValueError, match="bid 2 has a non-finite timestamp"):
         bidder_stats(bids, 100, 6, "a")
+
+
+@pytest.mark.parametrize("bounds", [
+    {"auction_end": math.inf},
+    {"auction_end": math.nan},
+    {"auction_end": 30.0, "auction_start": -math.inf},
+    {"auction_end": 30.0, "auction_start": math.nan},
+])
+def test_active_fraction_rejects_non_finite_bounds(bounds):
+    # an infinite end or start would leave the sampling grid without end
+    with pytest.raises(ValueError, match="is not finite"):
+        active_bidder_fraction([bid(1, "a", 10.0)], **bounds)
 
 
 def quadratic_active_fraction(bids, auction_end, sample_interval, window, auction_start):
