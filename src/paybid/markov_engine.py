@@ -327,12 +327,17 @@ def absorption_closed_form(chain: TwoGroupChain, q: int = 2) -> AbsorptionSummar
     row_b = chain.transitions(q, "B") if chain.group_b_size > 0 else TransitionRow(0.0, 0.0, 1.0)
     if row_a.absorb <= 0.0 and row_b.absorb <= 0.0:
         raise NonAbsorbingChainError("chain never absorbs (no state can end the auction)")
-    det = (1.0 - row_a.to_a) * (1.0 - row_b.to_b) - row_a.to_b * row_b.to_a
+    # 1 - to_a of the A-led row is its other two entries (same for B), so
+    # det = (1 - to_a^A)(1 - to_b^B) - to_b^A to_a^B expands without a
+    # subtraction: nothing cancels when both absorb probabilities are tiny.
+    leave_a = row_a.to_b + row_a.absorb
+    leave_b = row_b.to_a + row_b.absorb
+    det = row_a.absorb * leave_b + row_a.to_b * row_b.absorb
     if det <= 1e-300:
         raise NonAbsorbingChainError("chain never absorbs (fundamental matrix is singular)")
     n_mat = np.array([
-        [1.0 - row_b.to_b, row_a.to_b],
-        [row_b.to_a, 1.0 - row_a.to_a],
+        [leave_b, row_a.to_b],
+        [row_b.to_a, leave_a],
     ]) / det
     absorb = np.array([row_a.absorb, row_b.absorb])
     absorption_probs = n_mat * absorb[None, :]

@@ -1,6 +1,7 @@
 """Two-group absorbing chain: transition rows, closed form, recurrence."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from paybid.markov_engine import (
     expected_revenue_from_series,
     first_bid_distribution,
 )
-from paybid.asymmetry_models import underestimate_chain
+from paybid.asymmetry_models import mixed_estimates_chain, underestimate_chain
 
 
 def test_uniform_row_by_exhaustive_enumeration():
@@ -226,6 +227,46 @@ def test_ascending_chain_conserves_mass():
     assert series.max_conservation_error <= 1e-10
     assert expected_revenue_from_series(series) == pytest.approx(100.0, abs=1e-9)
     assert series.expected_bids == pytest.approx(80.0, abs=1e-9)
+
+
+def exact_uniform_row(chain, leader, q):
+    """(to_a, to_b, absorb) of a uniform-lottery row as Fractions: the float
+    betas taken exactly, then every (A heads, B heads) outcome summed."""
+    elig_a = chain.group_a_size - (leader == "A")
+    elig_b = chain.group_b_size - (leader == "B")
+
+    def pmf(m, beta):
+        beta = Fraction(beta)
+        return [math.comb(m, i) * beta ** i * (1 - beta) ** (m - i) for i in range(m + 1)]
+
+    pa, pb = pmf(elig_a, chain.beta_a(q, leader)), pmf(elig_b, chain.beta_b(q, leader))
+    to_a = sum(pa[i] * pb[j] * Fraction(i, i + j)
+               for i in range(1, elig_a + 1) for j in range(elig_b + 1))
+    to_b = sum(pa[i] * pb[j] * Fraction(j, i + j)
+               for i in range(elig_a + 1) for j in range(1, elig_b + 1))
+    return to_a, to_b, pa[0] * pb[0]
+
+
+@pytest.mark.parametrize("k", [40, 44, 46, 47, 48])
+def test_closed_form_keeps_its_digits_when_both_groups_rarely_stop(k):
+    # Both absorb probabilities are tiny here (about 1e-25 at k = 47), so a
+    # determinant formed as (1 - to_a)(1 - to_b) - ... loses every digit.
+    # Reference: the 2x2 solve in rationals of rows rebuilt exactly from the
+    # same float betas (a rational solve of the float rows would inherit
+    # their rounding).
+    chain = mixed_estimates_chain(AuctionSpec.fixed_price(100, 1, 0, 50), k)
+    (aa, ab, a_end), (ba, bb, b_end) = (exact_uniform_row(chain, lead, 2) for lead in "AB")
+    det = (1 - aa) * (1 - bb) - ab * ba
+    open_a, open_b, _ = exact_uniform_row(chain, None, 1)
+    start_a, start_b = open_a / (open_a + open_b), open_b / (open_a + open_b)
+    bids_a = (start_a * (1 - bb) + start_b * ba) / det
+    bids_b = (start_a * ab + start_b * (1 - aa)) / det
+    summary = absorption_closed_form(chain)
+    # every bid costs 1 and the price is 0, so revenue is the bid count
+    assert summary.expected_bids == pytest.approx(float(bids_a + bids_b), rel=1e-12)
+    assert summary.expected_revenue == pytest.approx(float(bids_a + bids_b), rel=1e-12)
+    assert summary.win_probs[0] == pytest.approx(float(bids_a * a_end), rel=1e-12)
+    assert summary.win_probs[1] == pytest.approx(float(bids_b * b_end), rel=1e-12)
 
 
 def test_closed_form_requires_time_homogeneity():
