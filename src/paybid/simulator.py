@@ -244,8 +244,6 @@ def simulate_chain(
     winner_a = np.zeros(trials, dtype=bool)
     rows = zip(_rows_by_step(chain, "A", chain.horizon), _rows_by_step(chain, "B", chain.horizon))
     for t, ((a_to_a, _, a_absorb), (b_to_a, _, b_absorb)) in enumerate(rows, start=1):
-        if live.size == 0:
-            break
         if t > max_rounds:
             raise RuntimeError(f"chain simulation exceeded {max_rounds} rounds")
         u = rng.random(live.size)
@@ -259,6 +257,8 @@ def simulate_chain(
         live, count_a = live[go], count_a[go]
         lead_a = u[go] < to_a_below[go]
         count_a += lead_a
+        if live.size == 0:
+            break
 
     successes = int(success.sum())
     if successes == 0:
@@ -347,8 +347,6 @@ def simulate_shill(spec: AuctionSpec, policy, trials: int, seed: int = 0) -> Shi
     rows = zip(*(_rows_by_step(chain, leader)
                  for chain in (phases.spent, phases.active) for leader in ("B", "A")))
     for t, by_state in enumerate(rows, start=1):
-        if live.size == 0:
-            break
         if t > _MAX_SHILL_ROUNDS:
             raise RuntimeError(f"shill simulation exceeded {_MAX_SHILL_ROUNDS} rounds")
         to_a, _, absorb = np.array(by_state).T
@@ -363,6 +361,8 @@ def simulate_shill(spec: AuctionSpec, policy, trials: int, seed: int = 0) -> Shi
         live, placed = live[go], placed[go]
         shill_leads = u[go] < (absorb + to_a)[state[go]]
         placed += shill_leads
+        if live.size == 0:
+            break
 
     final_price = spec.increment * total_bids if spec.is_ascending else spec.price
     profits[entered] = spec.fee * (total_bids - shill_bids) + (final_price - spec.value) * ~won
@@ -436,8 +436,6 @@ def simulate_committed(spec: AuctionSpec, retail_multiplier: float, trials: int,
     own = leads.astype(np.int64)
     live = np.arange(trials)
     for t, (absorb_led, absorb_other, share) in enumerate(rows, start=1):
-        if live.size == 0:
-            break
         if t > max_rounds:
             raise RuntimeError("committed simulation did not terminate")
         bids = ~leads & _committed_bids(spec, retail_multiplier, own, t + 1)
@@ -453,6 +451,8 @@ def simulate_committed(spec: AuctionSpec, retail_multiplier: float, trials: int,
         live, own = live[go], own[go]
         leads = bids[go] & (u[go] < share)
         own += leads
+        if live.size == 0:
+            break
 
     return CommittedSim(
         player_profits=player,
