@@ -536,8 +536,8 @@ def _load_traces(args) -> tuple:
                        "traces_skipped_inconsistent": inconsistent}
 
 
-def run_trace_report(args) -> None:
-    records, diagnostics = _load_outcomes(args)
+def _trace_report(args, records: list) -> tuple:
+    """(rows, meta) of the report args.report asks for."""
     by_id = {r.auction_id: r for r in records}
     rows: list = []
     meta: dict = {}
@@ -617,6 +617,17 @@ def run_trace_report(args) -> None:
                  "cost_cents": b.cost_cents, "value_cents": b.value_cents}
                 for b in report.buyers]
         meta.update(cost_ratio=report.cost_ratio, traced_auctions=report.traced_auctions)
+    return rows, meta
+
+
+def run_trace_report(args) -> None:
+    """A report's ValueError (a nonpositive --interval or --window, a
+    --min-len below 2) is a usage error naming the report."""
+    records, diagnostics = _load_outcomes(args)
+    try:
+        rows, meta = _trace_report(args, records)
+    except ValueError as exc:
+        _usage_error(f"report {args.report!r}: {exc}")
     meta["outcome_rows_rejected"] = len(diagnostics)
     config = {"command": "trace", "report": args.report, "outcomes": str(args.outcomes),
               "traces": sorted(str(t) for t in (args.traces or [])),

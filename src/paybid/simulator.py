@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .asymmetry_models import _committed_bids, _committed_rows, shill_chain
-from .core_model import AuctionSpec, symmetric_beta
+from .core_model import AuctionSpec, max_bids, symmetric_beta
 from .markov_engine import TwoGroupChain, _rows_by_step
 
 __all__ = [
@@ -343,8 +343,10 @@ def simulate_shill(spec: AuctionSpec, policy, trials: int, seed: int = 0) -> Shi
     total_bids = np.zeros(n_in, dtype=np.int64)
     live = np.arange(n_in)
     placed = shill_leads.astype(np.int64)
-    # one row per (phase, leader), indexed by 2 * (bids remain) + (shill leads)
-    rows = zip(*(_rows_by_step(chain, leader)
+    # one row per (phase, leader), indexed by 2 * (bids remain) + (shill leads);
+    # an ascending chain's tables need cover only the reachable bid indices
+    horizon = int(max_bids(spec)) + 1 if spec.is_ascending else None
+    rows = zip(*(_rows_by_step(chain, leader, horizon)
                  for chain in (phases.spent, phases.active) for leader in ("B", "A")))
     for t, by_state in enumerate(rows, start=1):
         if t > _MAX_SHILL_ROUNDS:

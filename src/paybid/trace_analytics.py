@@ -20,8 +20,9 @@ import bisect
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
+from sys import intern
 from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
@@ -59,6 +60,14 @@ _OUTCOME_FIELDS = 17
 
 
 def _dollars_to_cents(text: str, what: str) -> int:
+    # Plain ASCII "digits[.d[d]]" is read exactly without Decimal. Within 20
+    # characters the Decimal product below stays inside its 28-digit context,
+    # so both paths agree; every other form (signs, exponents, whitespace,
+    # underscores, non-ASCII digits, NaN) takes the Decimal path.
+    whole, _, frac = text.partition(".")
+    if (len(text) <= 20 and len(frac) <= 2 and whole.isdigit() and text.isascii()
+            and (frac.isdigit() or not frac)):
+        return int(whole + frac.ljust(2, "0"))
     try:
         d = Decimal(text)
     except InvalidOperation as exc:
@@ -69,6 +78,26 @@ def _dollars_to_cents(text: str, what: str) -> int:
     if cents != cents.to_integral_value():
         raise ValueError(f"{what}: sub-cent dollar amount: {text!r}")
     return int(cents)
+
+
+def _slot_constructor(cls):
+    """A positional constructor for a frozen, slotted dataclass that fills
+    each slot through its member descriptor.
+
+    The generated __init__ of a frozen dataclass goes through
+    object.__setattr__ once per field; the parsers build records by the
+    hundred thousand and skip that. The instance is the class's own, so its
+    fields, equality, hashing and FrozenInstanceError are unchanged. The body
+    is unrolled with exec, as dataclasses does for __init__, since a loop over
+    the descriptors costs as much as the call it replaces.
+    """
+    names = [f.name for f in fields(cls)]
+    namespace = {"_new": object.__new__, "_cls": cls}
+    namespace.update({f"_set_{name}": getattr(cls, name).__set__ for name in names})
+    body = "".join(f"    _set_{name}(obj, {name})\n" for name in names)
+    exec(f"def new({', '.join(names)}):\n    obj = _new(_cls)\n{body}    return obj\n",
+         namespace)
+    return namespace["new"]
 
 
 def _flag(text: str, what: str) -> bool:
@@ -102,27 +131,34 @@ class AuctionOutcomeRecord:
     flg_endprice: bool
 
 
-def _record_from_fields(fields: Sequence[str]) -> AuctionOutcomeRecord:
-    if len(fields) != _OUTCOME_FIELDS:
-        raise ValueError(f"expected {_OUTCOME_FIELDS} fields, got {len(fields)}")
-    return AuctionOutcomeRecord(
-        auction_id=int(fields[0]),
-        product_id=int(fields[1]),
-        item=fields[2],
-        description=fields[3],
-        retail_cents=_dollars_to_cents(fields[4], "retail"),
-        price_cents=_dollars_to_cents(fields[5], "price"),
-        finalprice_cents=_dollars_to_cents(fields[6], "finalprice"),
-        bidincrement_cents=int(fields[7]),
-        bidfee_cents=int(fields[8]),
-        winner=fields[9],
-        placedbids=int(fields[10]),
-        freebids=int(fields[11]),
-        endtime_str=fields[12],
-        flg_click_only=_flag(fields[13], "flg_click_only"),
-        flg_beginnerauction=_flag(fields[14], "flg_beginnerauction"),
-        flg_fixedprice=_flag(fields[15], "flg_fixedprice"),
-        flg_endprice=_flag(fields[16], "flg_endprice"),
+_new_record = _slot_constructor(AuctionOutcomeRecord)
+
+
+def _record_from_fields(row: Sequence[str]) -> AuctionOutcomeRecord:
+    """One record, its fields converted in column order so a row with
+    several faults is diagnosed by its first. Item, description and winner
+    repeat across rows and are interned; the end times are nearly all
+    distinct and are not."""
+    if len(row) != _OUTCOME_FIELDS:
+        raise ValueError(f"expected {_OUTCOME_FIELDS} fields, got {len(row)}")
+    return _new_record(
+        int(row[0]),
+        int(row[1]),
+        intern(row[2]),
+        intern(row[3]),
+        _dollars_to_cents(row[4], "retail"),
+        _dollars_to_cents(row[5], "price"),
+        _dollars_to_cents(row[6], "finalprice"),
+        int(row[7]),
+        int(row[8]),
+        intern(row[9]),
+        int(row[10]),
+        int(row[11]),
+        row[12],
+        _flag(row[13], "flg_click_only"),
+        _flag(row[14], "flg_beginnerauction"),
+        _flag(row[15], "flg_fixedprice"),
+        _flag(row[16], "flg_endprice"),
     )
 
 
@@ -171,8 +207,30 @@ class BidEvent:
     timestamp: Optional[float] = None
 
 
-def _parse_bh(raw: str, observed_at: Optional[float]) -> tuple:
-    """The bh field's bid tuples as events stamped with observed_at."""
+_new_bid = _slot_constructor(BidEvent)
+
+
+def _bid_fields(piece: str, i: int) -> tuple:
+    """One bh tuple 'number:user:type:price:yourbid:' as its typed fields,
+    the username interned. i is the tuple's index, for the diagnostic."""
+    try:
+        number, username, bidtype, price, yourbid, end = piece.split(":")
+        parsed = (int(number), intern(username), int(bidtype), int(price), int(yourbid))
+    except ValueError as exc:
+        raise ValueError(f"malformed bid tuple {i} in bh field: {piece!r}") from exc
+    if end:
+        raise ValueError(f"malformed bid tuple {i} in bh field: {piece!r}")
+    return parsed
+
+
+def _parse_bh(raw: str, observed_at: Optional[float], seen: dict) -> tuple:
+    """The bh field's bid tuples as events stamped with observed_at.
+
+    seen maps a tuple's text to its parsed fields and is shared by the
+    probes of one file, so a tuple that later probes repeat is parsed once.
+    Every tuple is parsed before the bid numbers are compared, so a field
+    that is both malformed and out of order is reported as malformed.
+    """
     if raw == "":
         return ()
     pieces = raw.split("#")
@@ -180,21 +238,16 @@ def _parse_bh(raw: str, observed_at: Optional[float]) -> tuple:
         raise ValueError("bh field does not end with its '#' terminator")
     if len(pieces) > 10:
         raise ValueError(f"bh field lists {len(pieces)} bids, the feed never sends more than 10")
-    bids = []
+    rows = []
     for i, piece in enumerate(pieces):
-        try:
-            number, username, bidtype, price, yourbid, end = piece.split(":")
-            event = BidEvent(int(number), username, int(bidtype), int(price), int(yourbid),
-                             observed_at)
-        except ValueError as exc:
-            raise ValueError(f"malformed bid tuple {i} in bh field: {piece!r}") from exc
-        if end:
-            raise ValueError(f"malformed bid tuple {i} in bh field: {piece!r}")
-        bids.append(event)
-    for a, b in zip(bids, bids[1:]):
-        if b.bidnumber <= a.bidnumber:
+        row = seen.get(piece)
+        if row is None:
+            row = seen[piece] = _bid_fields(piece, i)
+        rows.append(row)
+    for a, b in zip(rows, rows[1:]):
+        if b[0] <= a[0]:
             raise ValueError("bid numbers within one bh field must increase strictly")
-    return tuple(bids)
+    return tuple([_new_bid(*row, observed_at) for row in rows])
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,12 +275,18 @@ class ProbeLine:
         return "|".join(f"{k}={v}" for k, v in self.entries)
 
 
-def parse_probe_line(line: str, observed_at: Optional[float] = None) -> ProbeLine:
-    """Parse one |-separated probe. Unknown keys pass through untouched."""
+_new_probe = _slot_constructor(ProbeLine)
+
+# ProbeLine's typed fields after observed_at, in field order, with defaults
+_PROBE_TYPED = {"ct": None, "cs": None, "ra": None, "cw": None, "cp": None, "bids": (),
+                "lui": None}
+
+
+def _parse_probe(line: str, observed_at: Optional[float], seen: dict) -> ProbeLine:
     if line == "":
         raise ValueError("empty probe line")
     entries = []
-    typed: dict = {}
+    typed = _PROBE_TYPED.copy()  # assigning a key keeps its place in the order
     for chunk in line.split("|"):
         key, sep, value = chunk.partition("=")
         if not sep:
@@ -238,19 +297,26 @@ def parse_probe_line(line: str, observed_at: Optional[float] = None) -> ProbeLin
         elif key == "cw":
             typed[key] = value
         elif key == "bh":
-            typed["bids"] = _parse_bh(value, observed_at)
+            typed["bids"] = _parse_bh(value, observed_at, seen)
         elif key == "lui":
-            typed["lui"] = tuple(int(x) for x in value.split("#")) if value else ()
-    return ProbeLine(entries=tuple(entries), observed_at=observed_at, **typed)
+            typed["lui"] = tuple(map(int, value.split("#"))) if value else ()
+    return _new_probe(tuple(entries), observed_at, *typed.values())
+
+
+def parse_probe_line(line: str, observed_at: Optional[float] = None) -> ProbeLine:
+    """Parse one |-separated probe. Unknown keys pass through untouched."""
+    return _parse_probe(line, observed_at, {})
 
 
 def parse_trace_file(lines: Iterable[str], diagnostics: Optional[list] = None) -> list:
     """Parse '<epoch>\\t<probe>' lines into ProbeLine objects, in file order.
 
     A line whose timestamp is not a finite number of seconds is rejected like
-    any other malformed line.
+    any other malformed line. A bid tuple repeated by later probes of the
+    file is parsed once, and each probe stamps its own events.
     """
     probes = []
+    seen: dict = {}  # bh tuple text -> parsed fields, for this file
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -262,7 +328,7 @@ def parse_trace_file(lines: Iterable[str], diagnostics: Optional[list] = None) -
             stamp = float(stamp_text)
             if not math.isfinite(stamp):
                 raise ValueError(f"timestamp is not finite: {stamp_text!r}")
-            probes.append(parse_probe_line(probe_text, observed_at=stamp))
+            probes.append(_parse_probe(probe_text, stamp, seen))
         except ValueError as exc:
             message = f"line {lineno}: {exc}"
             if diagnostics is not None:
@@ -399,6 +465,9 @@ def _require_timestamps(bids: Sequence[BidEvent]) -> None:
             raise ValueError(f"bid {b.bidnumber} has a non-finite timestamp: {b.timestamp!r}")
 
 
+_MAX_ACTIVE_SAMPLES = 10_000_000
+
+
 def active_bidder_fraction(
     bids: Sequence[BidEvent],
     auction_end: float,
@@ -412,7 +481,8 @@ def active_bidder_fraction(
     sample_interval seconds until auction_start (or the first bid) is passed.
     Each sample (t, f) reports the fraction f of all distinct bidders in the
     history that bid inside (t - window, t]. Returned in chronological order,
-    so the largest seconds-before-end comes first.
+    so the largest seconds-before-end comes first. A grid of more than ten
+    million samples is refused.
     """
     _require_timestamps(bids)
     if sample_interval <= 0 or window <= 0:
@@ -424,6 +494,11 @@ def active_bidder_fraction(
     stamps = [b.timestamp for b in order]
     users = [b.username for b in order]
     begin = stamps[0] if auction_start is None else auction_start
+    # An interval under half an ulp of the offset would stop the offset from
+    # growing, and the loop below from ending.
+    if (auction_end - begin) / sample_interval + 1 > _MAX_ACTIVE_SAMPLES:
+        raise ValueError(f"sampling every {sample_interval!r} s from {begin!r} to "
+                         f"{auction_end!r} needs more than {_MAX_ACTIVE_SAMPLES} samples")
     counts = dict.fromkeys(users, 0)
     total = len(counts)
     # The window (at - window, at] is the index range [lo, hi) of the sorted

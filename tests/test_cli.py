@@ -603,6 +603,25 @@ def test_trace_delimiter_must_be_one_character(tmp_path, capsys):
                      "got 'ab'"]
 
 
+@pytest.mark.parametrize("report, flags, message", [
+    ("active", ["--interval", "0"], "sample interval and window must be positive"),
+    ("active", ["--window", "-5"], "sample interval and window must be positive"),
+    ("duels", ["--min-len", "0"], "a duel needs at least two bids"),
+    ("bidpacks", [], "no bidpack auctions in the outcome records"),
+], ids=["interval", "window", "min-len", "no-bidpacks"])
+def test_trace_report_error_is_a_one_line_usage_error(tmp_path, capsys, report, flags, message):
+    cycle = [(f"u{i % 4}", 6 * (i + 1)) for i in range(10)]
+    trace = write_trace(tmp_path, 404, cycle)
+    outcomes = tmp_path / "outcomes.tsv"
+    outcomes.write_text(
+        outcome_line(404, "tv", "TV", 100, 0.60, 0.60, 6, 60, "u1", 3) + "\n",
+        encoding="utf-8")
+    lines = usage_error(capsys, ["trace", "--report", report, "--outcomes", str(outcomes),
+                                 "--traces", str(trace), *flags,
+                                 "--out", str(tmp_path / "x.csv")])
+    assert lines == [f"paybid: error: report {report!r}: {message}"]
+
+
 @pytest.mark.parametrize("flags", [["trace", "--report", "margins", "--outcomes"],
                                    ["analyze", "--scenario", "underestimate", "--config"]],
                          ids=["outcomes", "config"])

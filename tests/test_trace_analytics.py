@@ -1,16 +1,20 @@
 """Outcome and probe parsing plus the empirical metrics, on synthetic data."""
 
 import math
-from dataclasses import FrozenInstanceError
+import tracemalloc
+from dataclasses import FrozenInstanceError, astuple
+from decimal import Decimal, InvalidOperation
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paybid.trace_analytics import (
     IN_THE_BLACK,
     IN_THE_RED,
     WON_AUCTION,
+    AuctionOutcomeRecord,
     BidEvent,
+    _dollars_to_cents,
     active_bidder_fraction,
     aggression_table,
     bidder_stats,
@@ -125,6 +129,63 @@ def test_malformed_rows_are_skipped_with_diagnostics():
     assert all("dollar amount is not finite" in d for d in diagnostics)
 
 
+def decimal_cents(text, what):
+    """Dollars to cents through Decimal alone, the reference for the fast path."""
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"{what}: not a dollar amount: {text!r}") from None
+    if not d.is_finite():
+        raise ValueError(f"{what}: dollar amount is not finite: {text!r}")
+    cents = d * 100
+    if cents != cents.to_integral_value():
+        raise ValueError(f"{what}: sub-cent dollar amount: {text!r}")
+    return int(cents)
+
+
+def outcome_of(convert, text):
+    try:
+        return convert(text, "retail")
+    except ValueError as exc:
+        return str(exc)
+
+
+DOLLAR_EDGES = ["1.", ".5", "+1", "1_0", " 1", "1e2", "-0.50", "007.5", "\u0663", "nan",
+                "0", "0.00", "12.345", "1.2.3", "", ".", "1" * 30, "9" * 20 + ".99", "1 "]
+
+
+@pytest.mark.parametrize("text", DOLLAR_EDGES)
+def test_dollars_to_cents_edge_forms_match_decimal(text):
+    assert outcome_of(_dollars_to_cents, text) == outcome_of(decimal_cents, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.from_regex(r"\A[0-9]{0,30}(\.[0-9]{0,4})?\Z")
+       | st.text(alphabet="0123456789.+-_e \u0663\u00b2naif", max_size=12))
+@example(text="1.")
+@example(text="\u0663.5")
+def test_dollars_to_cents_matches_decimal(text):
+    assert outcome_of(_dollars_to_cents, text) == outcome_of(decimal_cents, text)
+
+
+def test_parsed_record_is_the_class_own_frozen_record():
+    rec = parse_outcome_rows([EXAMPLE_ROW])[0]
+    built = AuctionOutcomeRecord(*astuple(rec))
+    assert type(rec) is AuctionOutcomeRecord
+    assert rec == built and hash(rec) == hash(built)
+    with pytest.raises(FrozenInstanceError):
+        rec.winner = "x"
+
+
+def test_equal_item_description_and_winner_share_one_string():
+    rows = [outcome_row(aid, "tv-" + "32", "TV " + "32", 100, 0.12, 0.12, 6, 60,
+                        "".join(["bid", "der7"]), 3) for aid in (1, 2, 3)]
+    recs = parse_outcome_rows(rows)
+    for name in ("item", "description", "winner"):
+        first = getattr(recs[0], name)
+        assert all(getattr(r, name) is first for r in recs[1:]), name
+
+
 # ---------------------------------------------------------------------------
 # probe parsing
 
@@ -211,6 +272,60 @@ def test_trace_file_lines_carry_observed_at():
     ]
     probes = parse_trace_file(lines)
     assert [p.observed_at for p in probes] == [1260000000.0, 1260000010.0]
+
+
+def test_trace_file_diagnostics_keep_their_precedence():
+    # every tuple is parsed before the bid numbers are compared, so a field
+    # both out of order and malformed is reported as malformed, whether or
+    # not its well-formed tuples were seen on an earlier line
+    probes = [
+        "ct=1|bh=5:a:1:30:0:#|lui=0",
+        "ct=1|bh=5:a:1:30:0:#4:b:oops:24:0:#|lui=0",
+        "ct=1|bh=5:a:1:30:0:#4:b:1:24:0:#|lui=0",
+        "ct=1|bh=9:a:1:54:0:#4:b:1:24:0:x#|lui=0",
+        "ct=1|bh=4:b:oops:24:0:#5:a:1:30:0:#|lui=0",
+        "ct=1|bh=9:a:1:54:0:#4:b:1:24:0:#7:c:z:42:0:#|lui=0",
+    ]
+    diagnostics = []
+    parsed = parse_trace_file([f"{10 + n}\t{p}" for n, p in enumerate(probes)], diagnostics)
+    assert len(parsed) == 1
+    assert diagnostics == [
+        "line 2: malformed bid tuple 1 in bh field: '4:b:oops:24:0:'",
+        "line 3: bid numbers within one bh field must increase strictly",
+        "line 4: malformed bid tuple 1 in bh field: '4:b:1:24:0:x'",
+        "line 5: malformed bid tuple 0 in bh field: '4:b:oops:24:0:'",
+        "line 6: malformed bid tuple 2 in bh field: '7:c:z:42:0:'",
+    ]
+    # the same messages as each line parsed alone
+    for line, message in zip(probes[1:], diagnostics):
+        with pytest.raises(ValueError) as err:
+            parse_probe_line(line)
+        assert message.endswith(str(err.value))
+
+
+def test_repeated_tuple_carries_each_probe_stamp():
+    lines = ["10\tct=1|bh=1:a:1:6:0:#2:b:1:12:0:#|lui=0",
+             "20\tct=1|bh=1:a:1:6:0:#2:b:1:12:0:#3:a:2:18:0:#|lui=0"]
+    first, second = parse_trace_file(lines)
+    assert [b.timestamp for b in first.bids] == [10.0, 10.0]
+    assert [b.timestamp for b in second.bids] == [20.0, 20.0, 20.0]
+    for a, b in zip(first.bids, second.bids):
+        assert astuple(a)[:-1] == astuple(b)[:-1] and a != b
+    assert second == parse_probe_line(lines[1].split("\t")[1], observed_at=20.0)
+    bids, missing = reconstruct_bids([first, second])
+    assert [(b.bidnumber, b.timestamp) for b in bids] == [(1, 10.0), (2, 10.0), (3, 20.0)]
+    assert missing == 0
+
+
+def test_one_user_bids_share_one_username_string():
+    lines = [f"{10 + n}\tct=1|bh=" + "".join(f"{k}:{'bid' + 'der' + str(k % 2)}:1:{6 * k}:0:#"
+                                             for k in range(n + 1, n + 4)) + "|lui=0"
+             for n in range(4)]
+    bids, missing = reconstruct_bids(parse_trace_file(lines))
+    assert missing == 0 and len(bids) == 6
+    by_user: dict = {}
+    for b in bids:
+        assert by_user.setdefault(b.username, b.username) is b.username
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +428,24 @@ def test_active_fraction_uniform_arrivals():
 def test_active_fraction_requires_bids():
     with pytest.raises(ValueError):
         active_bidder_fraction([], auction_end=100.0)
+
+
+def test_active_fraction_refuses_a_grid_it_could_not_finish():
+    # 180.0 + 1e-14 == 180.0: the offset would stop growing and the samples
+    # would fill memory; the grid is refused before one sample is taken
+    bids = [bid(1, "a", 0.0), bid(2, "b", 180.0)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 10000000 samples"):
+            active_bidder_fraction(bids, auction_end=360.0, sample_interval=1e-14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
+    # one sample past ten million is refused too
+    with pytest.raises(ValueError):
+        active_bidder_fraction(bids, auction_end=1e7, sample_interval=1.0)
+    assert len(active_bidder_fraction(bids, auction_end=360.0, sample_interval=1.0)) == 361
 
 
 @pytest.mark.parametrize("stamp", [math.nan, math.inf, -math.inf])
