@@ -620,9 +620,24 @@ def _trace_report(args, records: list) -> tuple:
     return rows, meta
 
 
+def _check_report_flags(args) -> None:
+    """The flags a report uses are checked before any file is read, so that
+    a bad one fails even when no trace reaches the report."""
+    if args.report == "active":
+        for value in (args.interval, args.window):
+            if not value > 0:
+                _usage_error("report 'active': sample interval and window must be positive")
+            if value == math.inf:
+                _usage_error("report 'active': sample interval and window must be finite")
+    elif args.report == "duels" and args.min_len < 2:
+        _usage_error("report 'duels': a duel needs at least two bids")
+
+
 def run_trace_report(args) -> None:
-    """A report's ValueError (a nonpositive --interval or --window, a
-    --min-len below 2) is a usage error naming the report."""
+    """A bad flag of the report, or a ValueError the report raises on its
+    input (no bidpack auction, a sampling grid too large), is a usage error
+    naming the report."""
+    _check_report_flags(args)
     records, diagnostics = _load_outcomes(args)
     try:
         rows, meta = _trace_report(args, records)

@@ -622,6 +622,22 @@ def test_trace_report_error_is_a_one_line_usage_error(tmp_path, capsys, report, 
     assert lines == [f"paybid: error: report {report!r}: {message}"]
 
 
+@pytest.mark.parametrize("report, flags, message", [
+    ("active", ["--interval", "0"], "sample interval and window must be positive"),
+    ("active", ["--window", "-5"], "sample interval and window must be positive"),
+    ("active", ["--interval", "nan"], "sample interval and window must be positive"),
+    ("active", ["--window", "inf"], "sample interval and window must be finite"),
+    ("duels", ["--min-len", "0"], "a duel needs at least two bids"),
+], ids=["interval", "window", "interval-nan", "window-inf", "min-len"])
+def test_trace_flags_are_checked_without_traces(tmp_path, capsys, report, flags, message):
+    # the outcome file does not exist: the flags fail before it is opened
+    lines = usage_error(capsys, ["trace", "--report", report,
+                                 "--outcomes", str(tmp_path / "missing.tsv"), *flags,
+                                 "--out", str(tmp_path / "x.csv")])
+    assert lines == [f"paybid: error: report {report!r}: {message}"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("flags", [["trace", "--report", "margins", "--outcomes"],
                                    ["analyze", "--scenario", "underestimate", "--config"]],
                          ids=["outcomes", "config"])
@@ -631,13 +647,37 @@ def test_missing_input_file_is_a_usage_error(tmp_path, capsys, flags):
     assert lines == [f"paybid: error: cannot read {missing}: No such file or directory"]
 
 
+def modules_after(statement: str) -> set:
+    """The modules a fresh interpreter holds after running statement."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = f"import sys; {statement}; print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return set(done.stdout.split())
+
+
+NUMPY_AND_MODELS = {"numpy", "paybid.core_model", "paybid.markov_engine",
+                 "paybid.asymmetry_models", "paybid.simulator"}
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; a fresh interpreter shows what
     # importing the package and its command line front end pulls in
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = ("import sys, paybid, paybid.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    loaded = modules_after("import paybid, paybid.cli")
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+
+
+@pytest.mark.parametrize("module", ["paybid", "paybid.trace_analytics"])
+def test_import_loads_neither_numpy_nor_the_model_modules(module):
+    loaded = modules_after(f"import {module}")
+    assert module in loaded
+    assert sorted(loaded & NUMPY_AND_MODELS) == []
+
+
+def test_import_cli_loads_every_layer_module():
+    # the benchmark's tracer imports paybid.cli and then wraps the functions
+    # of every layer module it finds loaded
+    layers = {f"paybid.{m}" for m in ("core_model", "markov_engine", "asymmetry_models",
+                                      "simulator", "trace_analytics", "cli")}
+    assert layers <= modules_after("import paybid.cli")
