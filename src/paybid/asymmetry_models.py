@@ -20,16 +20,17 @@ happens is then governed by the true population and the true tie lottery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .core_model import AuctionSpec, beta_from_mu, max_bids, symmetric_beta
-from .markov_engine import _ROW_BLOCK, TwoGroupChain
+from .markov_engine import _MAX_STEPS, TwoGroupChain
 
 __all__ = [
     "GroupProfile",
@@ -60,9 +61,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_SHILL_RESIDUAL_TOL = 1e-12
-_MAX_SHILL_STEPS = 10_000_000
 
 
 def _first_bid_scale(beta_later: float, perceived_n: int) -> float:
@@ -638,17 +636,19 @@ def shill_profit(spec: AuctionSpec, policy: ShillPolicy) -> ShillOutcome:
     the shill wins the house keeps the item. With a zero budget or zero entry
     probability nothing changes and the extra profit is exactly zero.
 
-    A bid moves s up by one or leaves it alone, so at a fixed price, where
-    the rows do not depend on the bid index, the occupancy is one forward
-    sweep over s (_shill_by_bid_count). An ascending auction is stepped bid
-    by bid over each phase's row table until the live mass drops below
-    1e-12 (_shill_by_bid_index).
+    The shill is a counted player: the active phase is its bidding chain, the
+    spent phase its silent one, and the occupancy comes from the solvers it
+    shares with committed_player_profit (_counted_occupancy).
     """
     if policy.bid_budget == 0 or policy.entry_prob == 0.0:
         return ShillOutcome(0.0, 0.0, 0.0, 0.0, 0.0, notes=("shill never bids",))
     phases = shill_chain(spec, policy)
-    solve = _shill_by_bid_index if spec.is_ascending else _shill_by_bid_count
-    shill_bids, legit_bids, shill_wins, legit_wins, price_paid = solve(spec, phases)
+    budget = policy.bid_budget
+    occupancy = _counted_occupancy(spec, phases.active, phases.spent,
+                                   lambda count, q: count < budget)
+    shill_wins, legit_wins = occupancy.wins.sum(1).tolist()
+    shill_bids, legit_bids = occupancy.visits.tolist()
+    price_paid = float(occupancy.price_paid(spec)[1])
     entered_profit = spec.fee * legit_bids + price_paid - spec.value * legit_wins
     return ShillOutcome(
         expected_profit=policy.entry_prob * entered_profit,
@@ -657,85 +657,6 @@ def shill_profit(spec: AuctionSpec, policy: ShillPolicy) -> ShillOutcome:
         entered_win_prob=shill_wins,
         entered_shill_bids=shill_bids,
     )
-
-
-def _shill_by_bid_count(spec: AuctionSpec, phases: ShillPhases) -> tuple[float, ...]:
-    """Expected visits of a fixed-price shill chain, one level s at a time.
-
-    Within level s the chain only moves from a shill lead to a legitimate
-    one or stays with the legitimate players; a shill bid lifts it to s + 1.
-    So the shill-led occupancy of level s is the mass lifted into it, and the
-    legitimate-led occupancy solves one geometric series on top of that.
-    Returns (shill bids, legitimate bids, shill wins, legitimate wins, price
-    paid by legitimate winners).
-    """
-    opening = phases.active.opening_row()  # the shill bids, so absorb == 0
-    active, spent = ((chain.transitions(2, "A"), chain.transitions(2, "B"))
-                     for chain in (phases.active, phases.spent))
-    shill_bids = legit_bids = shill_wins = legit_wins = 0.0
-    lifted = 0.0
-    for s in range(phases.bid_budget + 1):
-        a_row, b_row = active if s < phases.bid_budget else spent
-        shill_leads = lifted + (opening.to_a if s == 1 else 0.0)
-        from_below = opening.to_b if s == 0 else 0.0
-        legit_leads = (from_below + shill_leads * a_row.to_b) / (1.0 - b_row.to_b)
-        shill_bids += shill_leads
-        legit_bids += legit_leads
-        shill_wins += shill_leads * a_row.absorb
-        legit_wins += legit_leads * b_row.absorb
-        lifted = shill_leads * a_row.to_a + legit_leads * b_row.to_a
-    return shill_bids, legit_bids, shill_wins, legit_wins, legit_wins * spec.price
-
-
-def _shill_by_bid_index(spec: AuctionSpec, phases: ShillPhases) -> tuple[float, ...]:
-    """Occupancy of an ascending shill chain, stepped bid by bid.
-
-    The state vectors are indexed by s. Rows are read from the two phases'
-    row tables, merged once per table block: the active phase's row for s <
-    bid_budget and the spent phase's for s = bid_budget. Returns the same
-    tuple as _shill_by_bid_count.
-    """
-    budget = phases.bid_budget
-    bidding = np.arange(budget + 1) < budget
-    block = min(int(max_bids(spec)) + 1, _ROW_BLOCK)
-
-    def rows(leader: str):
-        # per bid index q = 2, 3, ...: (to_a, to_b, absorb), each indexed by s
-        for q in itertools.count(2, block):
-            active = phases.active.row_table(leader, q, q + block)
-            spent = phases.spent.row_table(leader, q, q + block)
-            yield from zip(*(np.where(bidding, a[:, None], z[:, None])
-                             for a, z in zip(active, spent)))
-
-    opening = phases.active.opening_row()  # the shill bids, so absorb == 0
-    shill_leads = np.zeros(budget + 1)
-    legit_leads = np.zeros(budget + 1)
-    shill_leads[1] = opening.to_a
-    legit_leads[0] = opening.to_b
-    legit_bids = opening.to_b
-    shill_bids = opening.to_a
-    live = opening.to_a + opening.to_b
-    shill_wins = legit_wins = price_paid = 0.0
-    t = 1
-    for (a_to_a, a_to_b, a_absorb), (b_to_a, b_to_b, b_absorb) in zip(rows("A"), rows("B")):
-        if live < _SHILL_RESIDUAL_TOL:
-            break
-        if t > _MAX_SHILL_STEPS:
-            log.warning("shill recurrence stopped at %d bids with live mass %.3e", t, live)
-            break
-        shill_wins += float(shill_leads @ a_absorb)
-        ended = float(legit_leads @ b_absorb)
-        legit_wins += ended
-        price_paid += ended * (spec.increment * t)
-        shill_bid = shill_leads * a_to_a + legit_leads * b_to_a
-        legit_leads = shill_leads * a_to_b + legit_leads * b_to_b
-        shill_leads[1:] = shill_bid[:-1]  # entry 0 stays 0: a shill lead means a placed bid
-        placed, legit = float(shill_leads.sum()), float(legit_leads.sum())
-        shill_bids += placed
-        legit_bids += legit
-        live = placed + legit
-        t += 1
-    return shill_bids, legit_bids, shill_wins, legit_wins, price_paid
 
 
 # ---------------------------------------------------------------------------
@@ -782,13 +703,11 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
     price; winning paths cost strictly less, so the loss never exceeds
     (multiplier - 1) * v.
 
-    A bid moves c up by one or leaves it alone. At a fixed price the rows and
-    the stop rule do not depend on t, so the expected occupancy of each
-    (leader, c) is one forward sweep over c, and a second sweep gives the
-    sums of t times the occupancy that the t-dependent payoffs need
-    (_committed_by_bid_count). An ascending auction is stepped bid by bid
-    until the live mass drops below 1e-15, with its per-bid scalars computed
-    once per bid index up front (_committed_by_bid_index).
+    The committed player is a counted player: _committed_chains gives its
+    bidding and silent chains, _committed_bids the stop rule, and the
+    occupancy comes from the solvers it shares with shill_profit
+    (_counted_occupancy). The payoffs are read from the wins by own-bid
+    count and the bid-index-weighted wins.
 
     With multiplier <= 1 the backstop already beats the auction and committed
     play is vacuous; both profits are reported as zero with a note.
@@ -800,13 +719,23 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
     if not _committed_bids(spec, alpha, 0, 1):
         return CommittedOutcome(0.0, 0.0, 0.0, 0.0,
                                 notes=("even one bid would overshoot the retail backstop",))
-    solve = _committed_by_bid_index if spec.is_ascending else _committed_by_bid_count
-    player, auctioneer, win_committed, expected_bids = solve(spec, alpha)
+    occupancy = _counted_occupancy(spec, *_committed_chains(spec),
+                                   functools.partial(_committed_bids, spec, alpha))
+    v, b, retail = spec.value, spec.fee, alpha * spec.value
+    won, lost = occupancy.wins.sum(1).tolist()
+    fees_won, fees_lost = (b * (occupancy.wins @ np.arange(occupancy.wins.shape[1]))).tolist()
+    price_won, price_lost = occupancy.price_paid(spec).tolist()
+    indexed = float(occupancy.indexed_wins.sum())
+    # Fee credit tops a losing player up to exactly the retail price; the
+    # auctioneer sells a second item at retail minus that credit.
+    player = v * won - fees_won - price_won + (v - retail) * lost
+    auctioneer = (b * indexed + price_won + price_lost - v * (won + lost)
+                  + (retail - v) * lost - fees_lost)
     return CommittedOutcome(
         player_profit=player,
         auctioneer_profit=auctioneer,
-        committed_win_prob=win_committed,
-        expected_total_bids=expected_bids,
+        committed_win_prob=won,
+        expected_total_bids=indexed,
         notes=(),
     )
 
@@ -820,171 +749,159 @@ def _committed_bids(spec: AuctionSpec, alpha: float, c, q: int):
     return (c + 1) * spec.fee_cents + price_c < alpha * spec.value_cents
 
 
-def _committed_rows(spec: AuctionSpec) -> tuple[float, Iterator[tuple[float, float, float]]]:
-    """The committed model's per-bid scalars against n - 1 symmetric regulars.
+def _committed_chains(spec: AuctionSpec) -> tuple[TwoGroupChain, TwoGroupChain]:
+    """The committed player's bidding and silent chains.
 
-    Returns (share_first, rows). share_first is the committed player's share
-    of the opening lottery against n - 1 regulars. rows yields, for bid index
-    q = 2, 3, ... without end, (absorb_led, absorb_other, share): P(no
-    regular rebids over the committed player), P(no regular bids over a
-    regular) and the committed player's lottery share against n - 2
-    regulars. At a fixed price every index has the same scalars; in an
-    ascending auction the regulars stay silent past the last rational bid.
+    Group A is the committed player, who bids with probability one in the
+    first chain and never in the second; group B is the n - 1 regulars on
+    the symmetric n-player solution, which in an ascending auction is 0 past
+    the last rational bid.
     """
-    n = spec.population
-    share_first = _mean_inv_one_plus(n - 1, [symmetric_beta(spec, 1)])[0]
-    last = int(max_bids(spec)) + 1 if spec.is_ascending else 2
-    betas = [symmetric_beta(spec, q, first_bid=False) for q in range(2, last + 1)]
-    rows = zip([(1.0 - beta) ** (n - 1) for beta in betas],
-               [(1.0 - beta) ** (n - 2) for beta in betas],
-               _mean_inv_one_plus(n - 2, betas))
-    if not spec.is_ascending:
-        return share_first, itertools.repeat(next(rows))
-    return share_first, itertools.chain(rows, itertools.repeat((1.0, 1.0, 1.0)))
+    last = int(max_bids(spec)) + 1 if spec.is_ascending else None
+
+    def regular_beta(q: int, leader: Optional[str]) -> float:
+        if last is not None and q > last:
+            return 0.0
+        return symmetric_beta(spec, q, first_bid=leader is None)
+
+    def chain(committed_beta: float) -> TwoGroupChain:
+        return TwoGroupChain(
+            group_a_size=1,
+            group_b_size=spec.population - 1,
+            beta_a=lambda q, leader: committed_beta,
+            beta_b=regular_beta,
+            fee_a=spec.fee,
+            fee_b=spec.fee,
+            increment=spec.increment if spec.is_ascending else 0.0,
+            price=0.0 if spec.is_ascending else spec.price,
+            time_homogeneous=not spec.is_ascending,
+        )
+
+    return chain(1.0), chain(0.0)
 
 
-def _mean_inv_one_plus(eligible: int, betas: Sequence[float]) -> list[float]:
-    """E[1 / (1 + J)] with J ~ Binomial(eligible, beta), one value per beta:
-    the committed player's chance of winning the tie lottery against J
-    challengers.
+# ---------------------------------------------------------------------------
+# One counted player against symmetric rivals
+#
+# The shill and the committed player are the same object: group A is one
+# player who bids with probability one while a predicate bids(count, q) of
+# its own placed bids and the bid index allows, and is silent from then on.
+# A model gives a bidding chain, a silent chain and that predicate; the rows
+# out of (leader, count) at bid index q are the bidding chain's while
+# bids(count, q) holds and the silent chain's otherwise. A's bid lifts the
+# count by one, B's leaves it. A bids the opening bid, and the predicate
+# never grows with the count or with q.
 
-    With m = eligible the sum has the closed form
 
-        (1 - (1 - beta)^(m+1)) / ((m+1) beta),
+class _CountedOccupancy(NamedTuple):
+    """Expected outcome of a counted-player chain, each field indexed by the
+    leading group, A then B: wins[g, c] is the probability that the auction
+    ends with g leading and A holding c bids, visits[g] the expected bids of
+    g, and indexed_wins[g] the final bid index summed over g's wins,
+    weighted by probability."""
 
-    evaluated as -expm1((m+1) log1p(-beta)) / ((m+1) beta), which keeps full
-    relative accuracy as beta -> 0, a subnormal beta included. beta = 0 (no
-    challenger, share 1) and beta = 1 (all m challenge, share 1/(m+1)) are
-    taken exactly.
+    wins: np.ndarray
+    visits: np.ndarray
+    indexed_wins: np.ndarray
+
+    def price_paid(self, spec: AuctionSpec) -> np.ndarray:
+        """Expected final price summed over A's wins and over B's wins."""
+        if spec.is_ascending:
+            return spec.increment * self.indexed_wins
+        return spec.price * self.wins.sum(1)
+
+
+_LIVE_MASS_TOL = 1e-15
+_MERGE_CHUNK = 32  # bid indices whose rows _counted_rows merges at once
+
+
+def _counted_occupancy(spec: AuctionSpec, bidding: TwoGroupChain, silent: TwoGroupChain,
+                       bids: Callable) -> _CountedOccupancy:
+    """Solve a counted-player chain: one sweep over the count at a fixed
+    price, where rows and predicate ignore the bid index, else bid by bid."""
+    # A never holds more bids than the first count at which it passes on
+    # bid 2, since the predicate only shrinks with q; the opening gives it one.
+    top = next(c for c in itertools.count(1) if not bids(c, 2))
+    if spec.is_ascending:
+        return _counted_by_bid_index(bidding, silent, bids, top, int(max_bids(spec)) + 1)
+    return _counted_by_level(bidding, silent, top)
+
+
+def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
+                      top: int) -> _CountedOccupancy:
+    """Fixed-price occupancy as one forward sweep over A's count c.
+
+    Level c holds (A leads, c) and (B leads, c), on the bidding chain's rows
+    below top and the silent chain's at top. (A leads, c) is entered only
+    from level c - 1, by A's bid, and (B leads, c) only from (A leads, c), by
+    B rebidding, or from the opening bid at c = 0, so with x the opening
+    distribution and P the transient kernel the occupancy N = x (I - P)^-1
+    comes out level by level. The index-weighted occupancy M = sum_t t x_t
+    solves M (I - P) = N, the same sweep with N as its source.
     """
-    if eligible <= 0:
-        return [1.0] * len(betas)
-    trials = eligible + 1
-    shares = []
-    for beta in betas:
-        if beta == 0.0:
-            shares.append(1.0)
-        elif beta == 1.0:
-            shares.append(1.0 / trials)
-        else:
-            shares.append(-math.expm1(trials * math.log1p(-beta)) / (trials * beta))
-    return shares
-
-
-def _committed_by_bid_count(spec: AuctionSpec, alpha: float) -> tuple[float, ...]:
-    """Fixed-price committed model as two forward sweeps over c.
-
-    Level c holds (committed leads, c) and (regular leads, c). The first is
-    entered only from level c - 1, when the committed player wins the
-    lottery, and the second only from the first (or from the opening bid at
-    c = 0), so with x the opening distribution and P the transient kernel the
-    occupancy N = x (I - P)^-1 comes out level by level. The time-weighted
-    occupancy M = sum_t t x_t solves M (I - P) = N, the same sweep with N as
-    its source. Returns (player profit, auctioneer profit, committed win
-    probability, expected total bids).
-    """
-    v, b, price = spec.value, spec.fee, spec.price
-    retail = alpha * v
-    # the stop rule depends on c alone: c_stop is the first own-bid count at
-    # which the committed player no longer bids
-    c_stop = 0
-    while _committed_bids(spec, alpha, c_stop, 2):
-        c_stop += 1
-    share_first, rows = _committed_rows(spec)
-    absorb_led, absorb_other, share = next(rows)
-    player = auctioneer = win_committed = expected_bids = 0.0
-    lifted_n = lifted_m = 0.0  # occupancy and time-weighted occupancy entering the next level
-    for c in range(c_stop + 1):
-        bidding = c < c_stop
-        leaves_other = share if bidding else absorb_other
-        led_n = lifted_n + (share_first if c == 1 else 0.0)
-        opened = 1.0 - share_first if c == 0 else 0.0
-        other_n = (opened + led_n * (1.0 - absorb_led)) / leaves_other
+    opening = bidding.opening_row()  # A bids surely, so absorb == 0
+    rows = [(chain.transitions(2, "A"), chain.transitions(2, "B")) for chain in (silent, bidding)]
+    wins, visits, indexed = np.zeros((2, top + 1)), np.zeros(2), np.zeros(2)
+    lifted_n = lifted_m = 0.0  # occupancy and index-weighted occupancy lifted into level c
+    for c in range(top + 1):
+        a_row, b_row = rows[c < top]
+        led_n = lifted_n + (opening.to_a if c == 1 else 0.0)
         led_m = lifted_m + led_n
-        other_m = (other_n + led_m * (1.0 - absorb_led)) / leaves_other
-        won_n, won_m = led_n * absorb_led, led_m * absorb_led
-        player += won_n * (v - c * b - price)
-        auctioneer += b * won_m + (price - v) * won_n
-        win_committed += won_n
-        expected_bids += won_m
-        if bidding:
-            lifted_n, lifted_m = other_n * share, other_m * share
-        else:
-            # Fee credit tops the player up to exactly the retail price; the
-            # auctioneer sells a second item at retail minus that credit.
-            lost_n, lost_m = other_n * absorb_other, other_m * absorb_other
-            player += lost_n * (v - retail)
-            auctioneer += b * lost_m + lost_n * (price - v + (retail - c * b) - v)
-            expected_bids += lost_m
-    return player, auctioneer, win_committed, expected_bids
+        leave_b = b_row.to_a + b_row.absorb
+        other_n = ((opening.to_b if c == 0 else 0.0) + led_n * a_row.to_b) / leave_b
+        other_m = (other_n + led_m * a_row.to_b) / leave_b
+        wins[:, c] = led_n * a_row.absorb, other_n * b_row.absorb
+        visits += led_n, other_n
+        indexed += led_m * a_row.absorb, other_m * b_row.absorb
+        lifted_n = led_n * a_row.to_a + other_n * b_row.to_a
+        lifted_m = led_m * a_row.to_a + other_m * b_row.to_a
+    return _CountedOccupancy(wins, visits, indexed)
 
 
-def _committed_by_bid_index(spec: AuctionSpec, alpha: float) -> tuple[float, ...]:
-    """Ascending committed model stepped bid by bid over c-indexed vectors.
+def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
+                          top: int, horizon: int) -> _CountedOccupancy:
+    """Ascending occupancy stepped bid by bid over (leader, A's count)
+    arrays, until the live mass drops below _LIVE_MASS_TOL."""
+    opening = bidding.opening_row()  # A bids surely, so absorb == 0
+    live = np.zeros((2, top + 1))
+    live[0, 1], live[1, 0] = opening.to_a, opening.to_b
+    visits, wins, indexed = live.copy(), np.zeros_like(live), np.zeros_like(live)
+    for t, rows in enumerate(_counted_rows(bidding, silent, bids, top, horizon), start=1):
+        won = live * rows[:, 2]
+        wins += won
+        indexed += t * won
+        live = (live[:, None] * rows[:, :2]).sum(0)
+        live[0, 1:] = live[0, :-1]  # A's bid lifts its count; A is silent at top
+        live[0, 0] = 0.0
+        visits += live
+        if live.sum() < _LIVE_MASS_TOL:
+            break
+        if t >= _MAX_STEPS:
+            log.warning("counted-player recurrence stopped at %d bids with live mass %.3e",
+                        t, live.sum())
+            break
+    return _CountedOccupancy(wins, visits.sum(1), indexed.sum(1))
 
-    The per-bid scalars depend on the bid index alone and come from
-    _committed_rows, computed once for the whole rational range up front.
-    Returns the same tuple as _committed_by_bid_count.
+
+def _counted_rows(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable, top: int,
+                  block: int):
+    """Rows in force at q = 2, 3, ... without end, one rows[leader,
+    to_a/to_b/absorb, count] array per q: the bidding chain's where the
+    predicate holds, the silent chain's elsewhere.
+
+    Each chain's rows come from tables of `block` bid indices; they are
+    merged _MERGE_CHUNK indices at a time, which keeps the merged array
+    small however many counts there are.
     """
-    v = spec.value
-    b = spec.fee
-    retail = alpha * v
-
-    c_cap = int(math.ceil(alpha * spec.value_cents / spec.fee_cents)) + 2
-    cs = np.arange(c_cap, dtype=float)
-    p_led = np.zeros(c_cap)      # committed player leads, indexed by own bids
-    p_other = np.zeros(c_cap)    # a regular leads
-
-    share_first, rows = _committed_rows(spec)
-    p_led[1] = share_first
-    p_other[0] = 1.0 - share_first
-
-    player = 0.0
-    auctioneer = 0.0
-    win_committed = 0.0
-    expected_bids = 0.0
-    hard_cap = 10_000_000
-    remaining = 1.0
-    for t, (absorb_led, absorb_other, share) in enumerate(rows, start=1):
-        if t >= hard_cap:
-            break
-        price = spec.increment * t
-        # Committed player leads with c own bids: the n-1 regulars may rebid.
-        won = p_led * absorb_led
-        win_mass = float(np.sum(won))
-        if win_mass > 0.0:
-            player += float(np.sum(won * (v - cs * b - price)))
-            auctioneer += win_mass * (b * t + price - v)
-            win_committed += win_mass
-            expected_bids += t * win_mass
-        flow_led_to_other = p_led * (1.0 - absorb_led)
-        # A regular leads: the committed player joins the lottery only while
-        # the stop rule allows, against n-2 regular challengers.
-        allows = _committed_bids(spec, alpha, cs, t + 1)
-        blocked = p_other * (~allows)
-        lost = blocked * absorb_other
-        lost_mass = float(np.sum(lost))
-        if lost_mass > 0.0:
-            # Fee credit tops the player up to exactly the retail price; the
-            # auctioneer sells a second item at retail minus that credit.
-            player += lost_mass * (v - retail)
-            auctioneer += float(np.sum(lost * (b * t + price - v + (retail - cs * b) - v)))
-            expected_bids += t * lost_mass
-        active = p_other * allows
-        to_led = active * share
-        if to_led[-1] > 0.0:
-            raise ArithmeticError("committed bid count exceeded its cap")
-        new_led = np.zeros(c_cap)
-        new_led[1:] = to_led[:-1]
-        new_other = blocked * (1.0 - absorb_other) + active * (1.0 - share) + flow_led_to_other
-        p_led = new_led
-        p_other = new_other
-        remaining = float(p_led.sum() + p_other.sum())
-        if remaining < 1e-15:
-            break
-    if remaining >= 1e-12:
-        log.warning("committed-player recursion stopped with live mass %.3e", remaining)
-    return player, auctioneer, win_committed, expected_bids
+    counts = np.arange(top + 1)
+    for q in itertools.count(2, block):
+        # tables[chain][r, leader, to_a/to_b/absorb, 0] for bid index q + r
+        tables = [np.array([chain.row_table(leader, q, q + block) for leader in ("A", "B")])
+                  .transpose(2, 0, 1)[..., None] for chain in (bidding, silent)]
+        for r in range(0, block, _MERGE_CHUNK):
+            qs = np.arange(q + r, q + min(r + _MERGE_CHUNK, block))
+            on = np.broadcast_to(bids(counts, qs[:, None]), (len(qs), top + 1))
+            yield from np.where(on[:, None, None, :], *(table[r:r + len(qs)] for table in tables))
 
 
 # ---------------------------------------------------------------------------

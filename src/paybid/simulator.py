@@ -7,9 +7,10 @@ tests that build rows by enumerating every coin outcome. simulate_chain,
 simulate_shill and simulate_committed run many trials of the reduced
 dynamics in vectorized lockstep: each round every live trial draws one
 uniform against the row the analytic code already builds (markov_engine's
-rows, shill_chain's two phases, the committed model's per-bid scalars and
-stop rule). Sharing the rows, they check the sums over those rows (closed
-form, recurrence, dynamic programs), fast enough for tight cross-checks.
+rows; for the shill and the committed player, one sampling loop over the
+bidding and silent chains and stop rule their exact solvers share). Sharing
+the rows, they check the sums over those rows (closed form, recurrence,
+dynamic programs), fast enough for tight cross-checks.
 
 Randomness is counter-based (Philox). estimate gives every trial its own
 spawned stream, so results do not depend on how work is batched; the
@@ -19,13 +20,14 @@ just as reproducible for a fixed trial count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .asymmetry_models import _committed_bids, _committed_rows, shill_chain
+from .asymmetry_models import _committed_bids, _committed_chains, shill_chain
 from .core_model import AuctionSpec, max_bids, symmetric_beta
 from .markov_engine import TwoGroupChain, _rows_by_step
 
@@ -293,6 +295,49 @@ def simulate_chain(
 _MAX_SHILL_ROUNDS = 1_000_000
 
 
+def _simulate_counted(spec: AuctionSpec, bidding: TwoGroupChain, silent: TwoGroupChain,
+                      bids: Callable, trials: int, rng: np.random.Generator,
+                      max_rounds: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lockstep trials of a counted-player chain, as asymmetry_models solves it.
+
+    Group A bids the opening bid surely, so every trial opens. Each trial
+    counts A's placed bids; every later round a live trial draws one uniform
+    against its leader's row in the chain its count puts in force (the
+    bidding chain while bids(count, q) holds, the silent one otherwise), as in
+    simulate_chain. Returns, per trial, whether A won, A's bids and all bids.
+    """
+    opening = bidding.opening_row()
+    leads = rng.random(trials) < opening.to_a
+    placed = leads.astype(np.int64)
+    won = np.zeros(trials, dtype=bool)
+    bids_a = np.zeros(trials, dtype=np.int64)
+    total_bids = np.zeros(trials, dtype=np.int64)
+    live = np.arange(trials)
+    # one row per (chain, leader), indexed by 2 * (A bids) + (A leads); an
+    # ascending chain's tables need cover only the reachable bid indices
+    horizon = int(max_bids(spec)) + 1 if spec.is_ascending else None
+    rows = zip(*(_rows_by_step(chain, leader, horizon)
+                 for chain in (silent, bidding) for leader in ("B", "A")))
+    for t, by_state in enumerate(rows, start=1):
+        if t > max_rounds:
+            raise RuntimeError(f"simulation exceeded {max_rounds} rounds")
+        to_a, _, absorb = np.array(by_state).T
+        state = 2 * bids(placed, t + 1) + leads
+        u = rng.random(live.size)
+        ended = u < absorb[state]
+        done = live[ended]
+        won[done] = leads[ended]
+        bids_a[done] = placed[ended]
+        total_bids[done] = t
+        go = ~ended
+        live, placed = live[go], placed[go]
+        leads = u[go] < (absorb + to_a)[state[go]]
+        placed += leads
+        if live.size == 0:
+            break
+    return won, bids_a, total_bids
+
+
 @dataclass(frozen=True)
 class ShillSim:
     """Unconditional shill outcome: zeros where the shill stayed out."""
@@ -318,12 +363,11 @@ def simulate_shill(spec: AuctionSpec, policy, trials: int, seed: int = 0) -> Shi
     """Monte Carlo of the shill model including the entry coin.
 
     Trials where the shill stays out contribute exactly zero extra profit.
-    Entered trials are played round by round, all in lockstep, and each
-    counts its own shill bids: a trial draws one uniform per round against
-    the row of shill_chain's phase in force for its count (active while bids
-    remain in the budget, spent from the last budgeted bid on) and its
-    leader, as in simulate_chain. Profit is legitimate fees plus the final
-    price when a legitimate player wins, minus the item in that case.
+    Entered trials run on shill_chain's two phases as a counted player
+    (_simulate_counted): the active phase while bids remain in the budget,
+    the spent one from the last budgeted bid on. Profit is legitimate fees
+    plus the final price when a legitimate player wins, minus the item in
+    that case.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -336,36 +380,10 @@ def simulate_shill(spec: AuctionSpec, policy, trials: int, seed: int = 0) -> Shi
         return ShillSim(profits=profits, shill_won=shill_won, entered=entered)
 
     phases = shill_chain(spec, policy)
-    opening = phases.active.opening_row()  # the shill bids, so absorb == 0
-    shill_leads = rng.random(n_in) < opening.to_a
-    won = np.zeros(n_in, dtype=bool)
-    shill_bids = np.zeros(n_in, dtype=np.int64)
-    total_bids = np.zeros(n_in, dtype=np.int64)
-    live = np.arange(n_in)
-    placed = shill_leads.astype(np.int64)
-    # one row per (phase, leader), indexed by 2 * (bids remain) + (shill leads);
-    # an ascending chain's tables need cover only the reachable bid indices
-    horizon = int(max_bids(spec)) + 1 if spec.is_ascending else None
-    rows = zip(*(_rows_by_step(chain, leader, horizon)
-                 for chain in (phases.spent, phases.active) for leader in ("B", "A")))
-    for t, by_state in enumerate(rows, start=1):
-        if t > _MAX_SHILL_ROUNDS:
-            raise RuntimeError(f"shill simulation exceeded {_MAX_SHILL_ROUNDS} rounds")
-        to_a, _, absorb = np.array(by_state).T
-        state = 2 * (placed < policy.bid_budget) + shill_leads
-        u = rng.random(live.size)
-        ended = u < absorb[state]
-        done = live[ended]
-        won[done] = shill_leads[ended]
-        shill_bids[done] = placed[ended]
-        total_bids[done] = t
-        go = ~ended
-        live, placed = live[go], placed[go]
-        shill_leads = u[go] < (absorb + to_a)[state[go]]
-        placed += shill_leads
-        if live.size == 0:
-            break
-
+    budget = policy.bid_budget
+    won, shill_bids, total_bids = _simulate_counted(
+        spec, phases.active, phases.spent, lambda count, q: count < budget, n_in, rng,
+        _MAX_SHILL_ROUNDS)
     final_price = spec.increment * total_bids if spec.is_ascending else spec.price
     profits[entered] = spec.fee * (total_bids - shill_bids) + (final_price - spec.value) * ~won
     shill_won[entered] = won
@@ -408,13 +426,10 @@ def simulate_committed(spec: AuctionSpec, retail_multiplier: float, trials: int,
                        seed: int = 0, max_rounds: int = 10_000_000) -> CommittedSim:
     """Vectorized trajectories of the committed player against symmetric rivals.
 
-    Reads the dynamic program's per-bid scalars and stop rule: each round a
-    live trial draws one uniform against them. A led trial ends with the
-    committed player winning below absorb_led; a trial led by a regular ends
-    below absorb_other once the stop rule bars the committed player, and
-    otherwise passes the lead to it below share. Losing paths top up to
-    retail with fees credited. When even the opening bid would overshoot the
-    backstop every outcome is zero, as in committed_player_profit.
+    Runs on the dynamic program's bidding and silent chains and stop rule as
+    a counted player (_simulate_counted). Losing paths top up to retail with
+    fees credited. When even the opening bid would overshoot the backstop
+    every outcome is zero, as in committed_player_profit.
     """
     if not math.isfinite(retail_multiplier):
         raise ValueError(f"retail multiplier must be finite, got {retail_multiplier}")
@@ -423,42 +438,19 @@ def simulate_committed(spec: AuctionSpec, retail_multiplier: float, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    v = spec.value
-    b = spec.fee
-    retail = retail_multiplier * v
-    player = np.zeros(trials)
-    auctioneer = np.zeros(trials)
-    won = np.zeros(trials, dtype=bool)
-    total = np.zeros(trials, dtype=np.int64)
     if not _committed_bids(spec, retail_multiplier, 0, 1):
-        return CommittedSim(player, auctioneer, won, total)
+        zeros = np.zeros(trials)
+        return CommittedSim(zeros, zeros.copy(), np.zeros(trials, dtype=bool),
+                            np.zeros(trials, dtype=np.int64))
 
-    share_first, rows = _committed_rows(spec)
-    leads = rng.random(trials) < share_first
-    own = leads.astype(np.int64)
-    live = np.arange(trials)
-    for t, (absorb_led, absorb_other, share) in enumerate(rows, start=1):
-        if t > max_rounds:
-            raise RuntimeError("committed simulation did not terminate")
-        bids = ~leads & _committed_bids(spec, retail_multiplier, own, t + 1)
-        u = rng.random(live.size)
-        ended = u < np.where(leads, absorb_led, np.where(bids, 0.0, absorb_other))
-        done, done_won, done_own = live[ended], leads[ended], own[ended]
-        price = spec.increment * t if spec.is_ascending else spec.price
-        player[done] = np.where(done_won, v - done_own * b - price, v - retail)
-        auctioneer[done] = (b * t + price - v) + np.where(done_won, 0.0, (retail - done_own * b) - v)
-        won[done] = done_won
-        total[done] = t
-        go = ~ended
-        live, own = live[go], own[go]
-        leads = bids[go] & (u[go] < share)
-        own += leads
-        if live.size == 0:
-            break
-
+    won, own, total = _simulate_counted(
+        spec, *_committed_chains(spec), functools.partial(_committed_bids, spec, retail_multiplier),
+        trials, rng, max_rounds)
+    v, b, retail = spec.value, spec.fee, retail_multiplier * spec.value
+    price = spec.increment * total if spec.is_ascending else spec.price
     return CommittedSim(
-        player_profits=player,
-        auctioneer_profits=auctioneer,
+        player_profits=np.where(won, v - own * b - price, v - retail),
+        auctioneer_profits=(b * total + price - v) + np.where(won, 0.0, (retail - own * b) - v),
         committed_won=won,
         total_bids=total,
     )

@@ -74,6 +74,10 @@ def _dollars_to_cents(text: str, what: str) -> int:
         raise ValueError(f"{what}: not a dollar amount: {text!r}") from exc
     if not d.is_finite():
         raise ValueError(f"{what}: dollar amount is not finite: {text!r}")
+    # From 10^26 dollars on, cents could lose digits in Decimal's 28-digit
+    # context, and an exponent like 1e999990 takes seconds to become an int.
+    if d.adjusted() > 25:
+        raise ValueError(f"{what}: dollar amount out of range: {text!r}")
     cents = d * 100
     if cents != cents.to_integral_value():
         raise ValueError(f"{what}: sub-cent dollar amount: {text!r}")
@@ -485,7 +489,7 @@ def active_bidder_fraction(
     million samples is refused.
     """
     _require_timestamps(bids)
-    if sample_interval <= 0 or window <= 0:
+    if not (sample_interval > 0 and window > 0):  # NaN fails the comparison too
         raise ValueError("sample interval and window must be positive")
     for name, stamp in (("auction_end", auction_end), ("auction_start", auction_start)):
         if stamp is not None and not math.isfinite(stamp):

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paybid.core_model import AuctionSpec, symmetric_beta, beta_from_mu
-from paybid.markov_engine import evolve_recurrence, expected_revenue_from_series
+from paybid.markov_engine import TwoGroupChain, evolve_recurrence, expected_revenue_from_series
 from paybid.asymmetry_models import (
-    _mean_inv_one_plus,
     CommittedPolicy,
     GroupProfile,
     PopulationBelief,
@@ -461,11 +460,16 @@ def test_committed_tiny_case_frozen():
     assert out.expected_total_bids == pytest.approx(6.823106153514576, rel=1e-10)
 
 
-def test_lottery_share_closed_form_matches_exact_binomial_sum():
-    # E[1/(1+J)], J ~ Bin(m, beta), summed term by term in exact rationals
+def test_lottery_share_of_the_committed_rows_matches_exact_binomial_sum():
+    # The committed player's share of the lottery against m regulars is the
+    # to_a of a regular-led row with a sure group-A bidder: E[1/(1+J)],
+    # J ~ Bin(m, beta), here summed term by term in exact rationals
     betas = [0.0, 1.1125369292536007e-308, 1e-12, 0.02, 0.5, 1.0 - 1e-12, 1.0]
     for m in (0, 1, 2, 48, 49):
-        for beta, got in zip(betas, _mean_inv_one_plus(m, betas)):
+        for beta in betas:
+            chain = TwoGroupChain(1, m + 1, beta_a=lambda q, leader: 1.0,
+                                  beta_b=lambda q, leader: beta, fee_a=1.0, fee_b=1.0)
+            got = chain.transitions(2, "B").to_a
             b = Fraction(beta)
             exact = sum(math.comb(m, j) * b ** j * (1 - b) ** (m - j) / (1 + j)
                         for j in range(m + 1))
@@ -488,6 +492,29 @@ def test_committed_fixed_price_frozen_values():
         got = (out.player_profit, out.auctioneer_profit, out.committed_win_prob,
                out.expected_total_bids)
         assert got == pytest.approx(expected, rel=1e-9), alpha
+
+
+# alpha -> (player_profit, auctioneer_profit, committed_win_prob,
+# expected_total_bids) on the ascending default, from the bid-by-bid dynamic
+# program over (leader, own bids) vectors that the shared stepper replaced.
+# player_profit nets win and loss terms of order 100, so it is pinned in
+# absolute terms; the other three keep their relative digits.
+COMMITTED_ASCENDING = {
+    1.1: (17.76083593691653, 128.57836912874404, 0.5330948386426024, 197.0713640525286),
+    1.5: (3.8846191248539146, 166.04884596693446, 0.7772108745596104, 215.9467720734307),
+    2.0: (2.3026068724486815e-05, 175.77268397267423, 0.9998991045152266, 220.61828823679227),
+    3.0: (-0.00015578544758192148, 175.773117709685, 0.9999999999999997, 220.61849416774794),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(COMMITTED_ASCENDING))
+def test_committed_ascending_frozen_values(alpha):
+    player, auctioneer, win, bids = COMMITTED_ASCENDING[alpha]
+    out = committed_player_profit(ASC, CommittedPolicy(alpha))
+    assert out.player_profit == pytest.approx(player, rel=0.0, abs=1e-11)
+    assert out.auctioneer_profit == pytest.approx(auctioneer, rel=1e-12)
+    assert out.committed_win_prob == pytest.approx(win, rel=1e-12)
+    assert out.expected_total_bids == pytest.approx(bids, rel=1e-12)
 
 
 def test_committed_defaults_auctioneer_grows_with_backstop():

@@ -137,6 +137,8 @@ def decimal_cents(text, what):
         raise ValueError(f"{what}: not a dollar amount: {text!r}") from None
     if not d.is_finite():
         raise ValueError(f"{what}: dollar amount is not finite: {text!r}")
+    if d.adjusted() > 25:
+        raise ValueError(f"{what}: dollar amount out of range: {text!r}")
     cents = d * 100
     if cents != cents.to_integral_value():
         raise ValueError(f"{what}: sub-cent dollar amount: {text!r}")
@@ -164,8 +166,18 @@ def test_dollars_to_cents_edge_forms_match_decimal(text):
        | st.text(alphabet="0123456789.+-_e \u0663\u00b2naif", max_size=12))
 @example(text="1.")
 @example(text="\u0663.5")
+@example(text="1e1000000")
 def test_dollars_to_cents_matches_decimal(text):
     assert outcome_of(_dollars_to_cents, text) == outcome_of(decimal_cents, text)
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1e999990", "1" * 29, "-1e26"])
+def test_dollar_amount_out_of_range_is_rejected(text):
+    # 1e1000000 * 100 overflowed Decimal's context, 1e999990 took half a
+    # minute to become an int, and 29 digits came back rounded to 28
+    with pytest.raises(ValueError, match="out of range"):
+        _dollars_to_cents(text, "retail")
+    assert _dollars_to_cents("9" * 26, "retail") == int("9" * 26 + "00")
 
 
 def test_parsed_record_is_the_class_own_frozen_record():
@@ -446,6 +458,15 @@ def test_active_fraction_refuses_a_grid_it_could_not_finish():
     with pytest.raises(ValueError):
         active_bidder_fraction(bids, auction_end=1e7, sample_interval=1.0)
     assert len(active_bidder_fraction(bids, auction_end=360.0, sample_interval=1.0)) == 361
+
+
+@pytest.mark.parametrize("grid", [{"sample_interval": math.nan}, {"window": math.nan}])
+def test_active_fraction_rejects_a_nan_interval_or_window(grid):
+    # a NaN interval used to give the single sample (0.0, 1.0) and a NaN
+    # window a fraction of 0.0 everywhere
+    bids = [bid(i + 1, "ab"[i % 2], 10.0 * i) for i in range(10)]
+    with pytest.raises(ValueError, match="must be positive"):
+        active_bidder_fraction(bids, auction_end=90.0, **grid)
 
 
 @pytest.mark.parametrize("stamp", [math.nan, math.inf, -math.inf])
