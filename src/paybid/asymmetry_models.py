@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core_model import AuctionSpec, beta_from_mu, max_bids, symmetric_beta
-from .markov_engine import _MAX_STEPS, TwoGroupChain
+from .markov_engine import _MAX_STEPS, _ROW_BLOCK, BetaFn, TwoGroupChain
 
 __all__ = [
     "GroupProfile",
@@ -112,6 +112,22 @@ def _resolve(profile: GroupProfile, spec: AuctionSpec) -> tuple[float, float, in
     return fee, value, perceived
 
 
+def _perceived_beta(spec: AuctionSpec, fee: float, value: float, perceived: int) -> BetaFn:
+    """Bid probability of a player who pays `fee`, values the item at
+    `value` and best-responds to a symmetric world of `perceived` players:
+    the symmetric solution for the pot at stake, 0 once the fee covers it."""
+    increment = spec.increment if spec.is_ascending else 0.0
+    price = 0.0 if spec.is_ascending else spec.price
+
+    def beta(q: int, leader: Optional[str]) -> float:
+        pot = value - increment * (q - 1) - price
+        if pot <= fee:
+            return 0.0
+        return beta_from_mu(1.0 - fee / pot, perceived if leader is None else perceived - 1)
+
+    return beta
+
+
 def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile,
                     profile_b: GroupProfile) -> TwoGroupChain:
     """Assemble a chain from two perceived-symmetric-world profiles.
@@ -125,25 +141,8 @@ def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile,
     price = 0.0 if spec.is_ascending else spec.price
     increment = spec.increment if spec.is_ascending else 0.0
     notes = []
-
-    def make_beta(profile: GroupProfile):
-        fee, value, perceived = _resolve(profile, spec)
-
-        def beta(q: int, leader: Optional[str]) -> float:
-            if spec.is_ascending:
-                pot = value - increment * (q - 1)
-            else:
-                pot = value - price
-            if pot <= fee:
-                return 0.0
-            mu_perceived = 1.0 - fee / pot
-            eligible = perceived if leader is None else perceived - 1
-            return beta_from_mu(mu_perceived, eligible)
-
-        return beta, fee, value
-
-    beta_a, fee_a, value_a = make_beta(profile_a)
-    beta_b, fee_b, value_b = make_beta(profile_b)
+    fee_a, value_a, perceived_a = _resolve(profile_a, spec)
+    fee_b, value_b, perceived_b = _resolve(profile_b, spec)
     for name, fee, value in (("A", fee_a, value_a), ("B", fee_b, value_b)):
         pot0 = value - (0.0 if spec.is_ascending else price)
         if pot0 <= fee:
@@ -156,8 +155,8 @@ def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile,
     return TwoGroupChain(
         group_a_size=profile_a.size,
         group_b_size=profile_b.size,
-        beta_a=beta_a,
-        beta_b=beta_b,
+        beta_a=_perceived_beta(spec, fee_a, value_a, perceived_a),
+        beta_b=_perceived_beta(spec, fee_b, value_b, perceived_b),
         fee_a=fee_a,
         fee_b=fee_b,
         increment=increment,
@@ -206,7 +205,12 @@ def underestimate_uniform(spec: AuctionSpec, k: int) -> UnderestimateResult:
     w = spec.fee / (spec.value - spec.price)
     exponent = (n - 1) / (n - k - 1)
     mu = 1.0 - w ** exponent
-    revenue = spec.fee * w ** (-exponent) + spec.price
+    try:
+        revenue = spec.fee * w ** (-exponent) + spec.price
+    except OverflowError:
+        revenue = math.inf
+    if math.isinf(revenue):
+        raise ValueError("the expected revenue overflows a float")
     return UnderestimateResult(mu=mu, expected_revenue=revenue)
 
 
@@ -595,18 +599,11 @@ def shill_chain(spec: AuctionSpec, policy: ShillPolicy) -> ShillPhases:
     price = 0.0 if spec.is_ascending else spec.price
 
     def phase(perceived: int, shill_bid_prob: float) -> TwoGroupChain:
-        def legit_beta(q: int, leader: Optional[str]) -> float:
-            pot = spec.value - (increment * (q - 1) if spec.is_ascending else price)
-            if pot <= spec.fee:
-                return 0.0
-            eligible = perceived if leader is None else perceived - 1
-            return beta_from_mu(1.0 - spec.fee / pot, eligible)
-
         return TwoGroupChain(
             group_a_size=1,
             group_b_size=n,
             beta_a=lambda q, leader: shill_bid_prob,
-            beta_b=legit_beta,
+            beta_b=_perceived_beta(spec, spec.fee, spec.value, perceived),
             fee_a=0.0,
             fee_b=spec.fee,
             increment=increment,
@@ -823,7 +820,8 @@ def _counted_occupancy(spec: AuctionSpec, bidding: TwoGroupChain, silent: TwoGro
     # bid 2, since the predicate only shrinks with q; the opening gives it one.
     top = next(c for c in itertools.count(1) if not bids(c, 2))
     if spec.is_ascending:
-        return _counted_by_bid_index(bidding, silent, bids, top, int(max_bids(spec)) + 1)
+        block = min(int(max_bids(spec)) + 1, _ROW_BLOCK)
+        return _counted_by_bid_index(bidding, silent, bids, top, block)
     return _counted_by_level(bidding, silent, top)
 
 
@@ -859,14 +857,14 @@ def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
 
 
 def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
-                          top: int, horizon: int) -> _CountedOccupancy:
+                          top: int, block: int) -> _CountedOccupancy:
     """Ascending occupancy stepped bid by bid over (leader, A's count)
     arrays, until the live mass drops below _LIVE_MASS_TOL."""
     opening = bidding.opening_row()  # A bids surely, so absorb == 0
     live = np.zeros((2, top + 1))
     live[0, 1], live[1, 0] = opening.to_a, opening.to_b
     visits, wins, indexed = live.copy(), np.zeros_like(live), np.zeros_like(live)
-    for t, rows in enumerate(_counted_rows(bidding, silent, bids, top, horizon), start=1):
+    for t, rows in enumerate(_counted_rows(bidding, silent, bids, top, block), start=1):
         won = live * rows[:, 2]
         wins += won
         indexed += t * won

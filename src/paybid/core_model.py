@@ -51,20 +51,22 @@ def to_cents(amount) -> int:
 
     Accepts int, str, Decimal, or float. Floats are read through repr so that
     0.1 means ten cents. Sub-cent amounts are rejected rather than rounded,
-    and so are infinities and NaN.
+    and so are infinities, NaN and amounts of 10^26 dollars or more, as the
+    trace parser rejects them.
     """
     if isinstance(amount, bool):
         raise TypeError("bool is not a currency amount")
-    if isinstance(amount, int):
-        return amount * 100
     try:
         d = Decimal(repr(amount)) if isinstance(amount, float) else Decimal(str(amount))
     except InvalidOperation as exc:
         raise ValueError(f"not a currency amount: {amount!r}") from exc
     if not d.is_finite():
         raise ValueError(f"currency amount is not finite: {amount!r}")
+    if d.adjusted() > 25:
+        raise ValueError(f"currency amount out of range: {amount!r}")
     cents = d * 100
-    if cents != cents.to_integral_value():
+    # below one cent, d * 100 may underflow to an integral zero
+    if (d and d.adjusted() < -2) or cents != cents.to_integral_value():
         raise ValueError(f"sub-cent amount not representable: {amount!r}")
     return int(cents)
 

@@ -23,7 +23,8 @@ leader is "A", "B", or None for the opening bid.
 
 Rows are tabulated: TwoGroupChain.row_table calls the beta callables once per
 bid index of a range and builds every row of that range in one vectorized
-pass of the lottery, and build_transitions is its one-row case. A
+pass of the lottery. It is the only row path: TwoGroupChain.transitions,
+opening_row and build_transitions are its one-row case. A
 time-homogeneous chain needs one row per leader; evolve_recurrence reads
 that row, or for any other chain a table covering its whole horizon, and
 steps over plain floats. The vectorized simulators draw against the same
@@ -185,17 +186,11 @@ def build_transitions(
 
     k_a and k_b are the group sizes. beta_a / beta_b may be plain floats or
     callables of (q, leader). The leader's own group loses one eligible coin.
-    This is the one-row case of TwoGroupChain.row_table.
+    This is TwoGroupChain.transitions of the chain with those groups.
     """
-    if tie_rule not in _TIE_RULES:
-        raise ValueError(f"unknown tie rule {tie_rule!r}, expected one of {_TIE_RULES}")
-    if k_a < 0 or k_b < 0 or k_a + k_b < 1:
-        raise ValueError("group sizes must be nonnegative and not both zero")
-    ba = _check_probs("beta_a", [beta_a(q, leader) if callable(beta_a) else beta_a])
-    bb = _check_probs("beta_b", [beta_b(q, leader) if callable(beta_b) else beta_b])
-    elig_a, elig_b = _eligible_counts(k_a, k_b, leader, tie_rule)
-    to_a, to_b, absorb = _lottery_rows(elig_a, elig_b, ba, bb)
-    return TransitionRow(to_a=float(to_a[0]), to_b=float(to_b[0]), absorb=float(absorb[0]))
+    betas = [beta if callable(beta) else (lambda q, leader, x=beta: x) for beta in (beta_a, beta_b)]
+    return TwoGroupChain(k_a, k_b, *betas, fee_a=0.0, fee_b=0.0,
+                         tie_rule=tie_rule).transitions(q, leader)
 
 
 @dataclass
@@ -223,7 +218,7 @@ class TwoGroupChain:
 
     def __post_init__(self):
         if self.tie_rule not in _TIE_RULES:
-            raise ValueError(f"unknown tie rule {self.tie_rule!r}")
+            raise ValueError(f"unknown tie rule {self.tie_rule!r}, expected one of {_TIE_RULES}")
         if self.group_a_size < 0 or self.group_b_size < 0:
             raise ValueError("group sizes must be nonnegative")
         if self.group_a_size + self.group_b_size < 1:
@@ -240,15 +235,9 @@ class TwoGroupChain:
         return self.group_a_size + self.group_b_size
 
     def transitions(self, q: int, leader: str) -> TransitionRow:
-        return build_transitions(
-            self.group_a_size,
-            self.group_b_size,
-            self.beta_a,
-            self.beta_b,
-            tie_rule=self.tie_rule,
-            q=q,
-            leader=leader,
-        )
+        """Row out of `leader`'s state at bid index q, the one-row case of
+        row_table."""
+        return TransitionRow(*(column.item() for column in self.row_table(leader, q, q + 1)))
 
     def row_table(self, leader: str, q_start: int, q_stop: int) -> RowTable:
         """Rows out of `leader`'s state for every bid index q_start <= q < q_stop.
@@ -265,15 +254,7 @@ class TwoGroupChain:
 
     def opening_row(self) -> TransitionRow:
         """Outcome split of the opening bid: (goes to A, goes to B, no bid)."""
-        return build_transitions(
-            self.group_a_size,
-            self.group_b_size,
-            self.beta_a,
-            self.beta_b,
-            tie_rule=self.tie_rule,
-            q=1,
-            leader=None,
-        )
+        return self.transitions(1, None)
 
 
 def first_bid_distribution(chain: TwoGroupChain, conditioned: bool = True):

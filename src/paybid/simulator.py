@@ -4,13 +4,14 @@ Two layers. simulate_one / estimate play the auction round by round at the
 level of individual players and policies; they are slow but assume nothing,
 so they are the independent check of the chain reduction itself, next to the
 tests that build rows by enumerating every coin outcome. simulate_chain,
-simulate_shill and simulate_committed run many trials of the reduced
-dynamics in vectorized lockstep: each round every live trial draws one
-uniform against the row the analytic code already builds (markov_engine's
-rows; for the shill and the committed player, one sampling loop over the
-bidding and silent chains and stop rule their exact solvers share). Sharing
-the rows, they check the sums over those rows (closed form, recurrence,
-dynamic programs), fast enough for tight cross-checks.
+simulate_shill and simulate_committed share one sampling loop that runs many
+trials of the reduced dynamics in vectorized lockstep: each round every live
+trial draws one uniform against the row the analytic code already builds,
+every one of them from TwoGroupChain.row_table. simulate_chain runs one
+chain; the shill and the committed player run the bidding and silent chains
+and stop rule their exact solvers share. Sharing the rows, they check the
+sums over those rows (closed form, recurrence, dynamic programs), fast
+enough for tight cross-checks.
 
 Randomness is counter-based (Philox). estimate gives every trial its own
 spawned stream, so results do not depend on how work is batched; the
@@ -225,43 +226,15 @@ def simulate_chain(
 ) -> ChainEstimate:
     """Vectorized Monte Carlo of a two-group chain, all trials in lockstep.
 
-    The opening bid is drawn against chain.opening_row(); every later round
-    each live trial draws one uniform against its leader's row at the
-    current bid index, the rows evolve_recurrence steps over: below absorb
-    the auction ends, below absorb + to_a group A places the bid, otherwise
-    group B does. Statistics are conditioned on the auction receiving an
-    opening bid.
+    The chain's own rows drive _simulate_counted, with the chain in force
+    whatever group A's count. Statistics are conditioned on the auction
+    receiving an opening bid.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    opening = chain.opening_row()
-    u = rng.random(trials)
-    success = u >= opening.absorb
-    live = np.flatnonzero(success)
-    lead_a = u[live] < opening.absorb + opening.to_a
-    count_a = lead_a.astype(np.int64)
-    bids_a = np.zeros(trials, dtype=np.int64)
-    total_bids = np.zeros(trials, dtype=np.int64)
-    winner_a = np.zeros(trials, dtype=bool)
-    rows = zip(_rows_by_step(chain, "A", chain.horizon), _rows_by_step(chain, "B", chain.horizon))
-    for t, ((a_to_a, _, a_absorb), (b_to_a, _, b_absorb)) in enumerate(rows, start=1):
-        if t > max_rounds:
-            raise RuntimeError(f"chain simulation exceeded {max_rounds} rounds")
-        u = rng.random(live.size)
-        ended = u < np.where(lead_a, a_absorb, b_absorb)
-        to_a_below = np.where(lead_a, a_absorb + a_to_a, b_absorb + b_to_a)
-        done = live[ended]
-        winner_a[done] = lead_a[ended]
-        total_bids[done] = t
-        bids_a[done] = count_a[ended]
-        go = ~ended
-        live, count_a = live[go], count_a[go]
-        lead_a = u[go] < to_a_below[go]
-        count_a += lead_a
-        if live.size == 0:
-            break
-
+    success, winner_a, bids_a, total_bids = _simulate_counted(
+        chain, chain, lambda count, q: True, trials, rng, max_rounds, chain.horizon)
     successes = int(success.sum())
     if successes == 0:
         raise RuntimeError("no trial received an opening bid")
@@ -295,27 +268,32 @@ def simulate_chain(
 _MAX_SHILL_ROUNDS = 1_000_000
 
 
-def _simulate_counted(spec: AuctionSpec, bidding: TwoGroupChain, silent: TwoGroupChain,
-                      bids: Callable, trials: int, rng: np.random.Generator,
-                      max_rounds: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lockstep trials of a counted-player chain, as asymmetry_models solves it.
+def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
+                      trials: int, rng: np.random.Generator, max_rounds: int,
+                      horizon: Optional[int]) -> tuple[np.ndarray, ...]:
+    """Lockstep trials of a two-group chain whose rows switch on A's count.
 
-    Group A bids the opening bid surely, so every trial opens. Each trial
-    counts A's placed bids; every later round a live trial draws one uniform
-    against its leader's row in the chain its count puts in force (the
-    bidding chain while bids(count, q) holds, the silent one otherwise), as in
-    simulate_chain. Returns, per trial, whether A won, A's bids and all bids.
+    Each trial counts group A's placed bids. The opening bid is drawn
+    against bidding.opening_row(); every later round each live trial draws
+    one uniform against its leader's row at the current bid index, in the
+    chain its count puts in force (the bidding chain while bids(count, q)
+    holds, the silent one otherwise), the rows evolve_recurrence and the
+    counted-player solvers step over: below absorb the auction ends, below
+    absorb + to_a group A places the bid, otherwise group B does. Row tables
+    need cover only the bid indices up to the horizon, if there is one.
+    Returns, per trial, whether the auction opened, whether A won, A's bids
+    and all bids.
     """
     opening = bidding.opening_row()
-    leads = rng.random(trials) < opening.to_a
+    u = rng.random(trials)
+    success = u >= opening.absorb
+    live = np.flatnonzero(success)
+    leads = u[live] < opening.absorb + opening.to_a
     placed = leads.astype(np.int64)
     won = np.zeros(trials, dtype=bool)
     bids_a = np.zeros(trials, dtype=np.int64)
     total_bids = np.zeros(trials, dtype=np.int64)
-    live = np.arange(trials)
-    # one row per (chain, leader), indexed by 2 * (A bids) + (A leads); an
-    # ascending chain's tables need cover only the reachable bid indices
-    horizon = int(max_bids(spec)) + 1 if spec.is_ascending else None
+    # one row per (chain, leader), indexed by 2 * (A bids) + (A leads)
     rows = zip(*(_rows_by_step(chain, leader, horizon)
                  for chain in (silent, bidding) for leader in ("B", "A")))
     for t, by_state in enumerate(rows, start=1):
@@ -335,7 +313,7 @@ def _simulate_counted(spec: AuctionSpec, bidding: TwoGroupChain, silent: TwoGrou
         placed += leads
         if live.size == 0:
             break
-    return won, bids_a, total_bids
+    return success, won, bids_a, total_bids
 
 
 @dataclass(frozen=True)
@@ -381,9 +359,10 @@ def simulate_shill(spec: AuctionSpec, policy, trials: int, seed: int = 0) -> Shi
 
     phases = shill_chain(spec, policy)
     budget = policy.bid_budget
-    won, shill_bids, total_bids = _simulate_counted(
-        spec, phases.active, phases.spent, lambda count, q: count < budget, n_in, rng,
-        _MAX_SHILL_ROUNDS)
+    horizon = int(max_bids(spec)) + 1 if spec.is_ascending else None
+    _, won, shill_bids, total_bids = _simulate_counted(
+        phases.active, phases.spent, lambda count, q: count < budget, n_in, rng,
+        _MAX_SHILL_ROUNDS, horizon)
     final_price = spec.increment * total_bids if spec.is_ascending else spec.price
     profits[entered] = spec.fee * (total_bids - shill_bids) + (final_price - spec.value) * ~won
     shill_won[entered] = won
@@ -443,9 +422,10 @@ def simulate_committed(spec: AuctionSpec, retail_multiplier: float, trials: int,
         return CommittedSim(zeros, zeros.copy(), np.zeros(trials, dtype=bool),
                             np.zeros(trials, dtype=np.int64))
 
-    won, own, total = _simulate_counted(
-        spec, *_committed_chains(spec), functools.partial(_committed_bids, spec, retail_multiplier),
-        trials, rng, max_rounds)
+    horizon = int(max_bids(spec)) + 1 if spec.is_ascending else None
+    _, won, own, total = _simulate_counted(
+        *_committed_chains(spec), functools.partial(_committed_bids, spec, retail_multiplier),
+        trials, rng, max_rounds, horizon)
     v, b, retail = spec.value, spec.fee, retail_multiplier * spec.value
     price = spec.increment * total if spec.is_ascending else spec.price
     return CommittedSim(

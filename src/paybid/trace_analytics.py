@@ -79,7 +79,8 @@ def _dollars_to_cents(text: str, what: str) -> int:
     if d.adjusted() > 25:
         raise ValueError(f"{what}: dollar amount out of range: {text!r}")
     cents = d * 100
-    if cents != cents.to_integral_value():
+    # below one cent, d * 100 may underflow to an integral zero
+    if (d and d.adjusted() < -2) or cents != cents.to_integral_value():
         raise ValueError(f"{what}: sub-cent dollar amount: {text!r}")
     return int(cents)
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paybid.core_model import AuctionSpec, symmetric_beta, beta_from_mu
-from paybid.markov_engine import TwoGroupChain, evolve_recurrence, expected_revenue_from_series
+from paybid.markov_engine import (_ROW_BLOCK, TwoGroupChain, evolve_recurrence,
+                                  expected_revenue_from_series)
 from paybid.asymmetry_models import (
     CommittedPolicy,
     GroupProfile,
@@ -103,6 +104,12 @@ def test_underestimate_k_bounds():
         100.0 ** (49.0 / 97.0), rel=1e-10)
     with pytest.raises(ValueError):
         underestimate_uniform(FIX, -49)
+
+
+def test_underestimate_revenue_overflow_is_a_value_error():
+    # b (b/v)^(-49) is about 1e343 here, past the largest float
+    with pytest.raises(ValueError, match="overflows a float"):
+        underestimate_uniform(AuctionSpec.fixed_price(10_000_000, 1, 0, 50), 48)
 
 
 def test_overestimation_lowers_revenue():
@@ -444,6 +451,24 @@ def test_shill_policy_validation():
         ShillPolicy(0.5, 5, identities=3)
     with pytest.raises(ValueError):
         shill_chain(ASC, ShillPolicy(1.0, 0))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda spec: shill_profit(spec, ShillPolicy(1.0, 5)),
+    lambda spec: committed_player_profit(spec, CommittedPolicy(1.5)),
+], ids=["shill", "committed"])
+def test_counted_solvers_build_row_tables_in_bounded_blocks(monkeypatch, solve):
+    # the horizon, 2,901 bid indices, is longer than one block
+    spans = []
+    row_table = TwoGroupChain.row_table
+
+    def spy(chain, leader, q_start, q_stop):
+        spans.append(q_stop - q_start)
+        return row_table(chain, leader, q_start, q_stop)
+
+    monkeypatch.setattr(TwoGroupChain, "row_table", spy)
+    solve(AuctionSpec.ascending(30, 1, 0.01, 10))
+    assert spans and max(spans) <= _ROW_BLOCK
 
 
 # ---------------------------------------------------------------------------

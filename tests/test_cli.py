@@ -262,9 +262,13 @@ def usage_error(capsys, argv):
      "scenario 'mixed' with v=inf: currency amount is not finite"),
     (["analyze", "--scenario", "mixed", "--set", "v=nan"],
      "scenario 'mixed' with v=nan: currency amount is not finite"),
+    (["analyze", "--scenario", "mixed", "--set", "v=1e308"],
+     "scenario 'mixed' with v=1e308: currency amount out of range"),
+    (["analyze", "--scenario", "underestimate", "--set", "k=48", "--set", "v=1e7"],
+     "scenario 'underestimate' with k=48 v=1e7: the expected revenue overflows a float"),
 ], ids=["underestimate-k", "uncertain-spread", "sweep-spread", "sweep-ring", "simulate-mixed",
         "variant", "coordination", "alpha-inf", "alpha-nan", "simulate-alpha-nan", "value-inf",
-        "value-nan"])
+        "value-nan", "value-out-of-range", "revenue-overflow"])
 def test_model_error_is_a_one_line_usage_error(tmp_path, capsys, argv, where):
     lines = usage_error(capsys, [*argv, "--out", str(tmp_path / "x.csv")])
     assert len(lines) == 1

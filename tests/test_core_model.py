@@ -43,6 +43,23 @@ def test_to_cents_rejects_subcent_amounts():
         to_cents(1.005)
 
 
+@pytest.mark.parametrize("amount", ["1e-1000030", "1e-9999999999", "-1e-3"])
+def test_to_cents_rejects_amounts_below_one_cent_however_small(amount):
+    # amount * 100 underflows to an integral zero in Decimal's context
+    with pytest.raises(ValueError, match="sub-cent"):
+        to_cents(amount)
+    assert to_cents("0e-1000030") == 0
+
+
+@pytest.mark.parametrize("amount", ["1e999999", 1e308, 10 ** 26, "-1e26"])
+def test_to_cents_rejects_amounts_out_of_range(amount):
+    # 10^26 dollars or more, the trace parser's bound; 1e999999 raised
+    # decimal.Overflow and 1e308 overflowed AuctionSpec.value
+    with pytest.raises(ValueError, match="out of range"):
+        to_cents(amount)
+    assert to_cents("9" * 26) == int("9" * 26 + "00")
+
+
 @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, "Infinity", "NaN", "sNaN"])
 def test_to_cents_rejects_non_finite_amounts(amount):
     with pytest.raises(ValueError, match="not finite"):

@@ -31,6 +31,14 @@ def test_uniform_row_by_exhaustive_enumeration():
     assert row.absorb == pytest.approx(1 / 8, abs=1e-15)
 
 
+def test_unknown_tie_rule_error_names_the_rules():
+    beta = lambda q, leader: 0.5  # noqa: E731
+    for make in (lambda: build_transitions(2, 2, 0.5, 0.5, tie_rule="nope"),
+                 lambda: TwoGroupChain(2, 2, beta, beta, 1.0, 1.0, tie_rule="nope")):
+        with pytest.raises(ValueError, match=r"expected one of \('uniform', 'single_ticket'\)"):
+            make()
+
+
 def test_single_ticket_row_by_hand():
     # single_ticket collapses group A to one ticket with bid probability
     # beta_a no matter how large the group is. Against one B player, both at

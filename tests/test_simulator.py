@@ -118,6 +118,20 @@ def test_chain_simulation_keep_arrays():
     assert mc.success_rate == pytest.approx(0.99, abs=3 * math.sqrt(0.99 * 0.01 / 5_000))
 
 
+@pytest.mark.parametrize("spec, sums, first", [
+    (FIX, (333925, 166569, 989, 1983),
+     [87, 96, 367, 228, 146, 96, 260, 321, 28, 72, 297, 46, 200, 186, 132, 233, 3, 102, 67, 142]),
+    (ASC, (227949, 113784, 1025, 1983),
+     [101, 137, 16, 92, 31, 102, 255, 294, 109, 252, 52, 99, 242, 52, 43, 98, 3, 306, 109, 339]),
+], ids=["fixed", "ascending"])
+def test_chain_simulation_sample_path_is_pinned(spec, sums, first):
+    # frozen from a run at a fixed seed: a reordered or extra draw moves them
+    mc = simulate_chain(underestimate_chain(spec, 5), 2_000, seed=31, keep_arrays=True)
+    assert (int(mc.total_bids.sum()), int(mc.bids_a.sum()), int(mc.winner_is_a.sum()),
+            int(mc.success.sum())) == sums
+    assert mc.total_bids[:20].tolist() == first
+
+
 def test_chain_simulation_is_deterministic():
     chain = underestimate_chain(FIX, 0)
     one = simulate_chain(chain, 3_000, seed=21, keep_arrays=True)

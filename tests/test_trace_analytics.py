@@ -140,7 +140,7 @@ def decimal_cents(text, what):
     if d.adjusted() > 25:
         raise ValueError(f"{what}: dollar amount out of range: {text!r}")
     cents = d * 100
-    if cents != cents.to_integral_value():
+    if (d and d.adjusted() < -2) or cents != cents.to_integral_value():
         raise ValueError(f"{what}: sub-cent dollar amount: {text!r}")
     return int(cents)
 
@@ -178,6 +178,14 @@ def test_dollar_amount_out_of_range_is_rejected(text):
     with pytest.raises(ValueError, match="out of range"):
         _dollars_to_cents(text, "retail")
     assert _dollars_to_cents("9" * 26, "retail") == int("9" * 26 + "00")
+
+
+@pytest.mark.parametrize("text", ["1e-1000030", "1e-9999999999"])
+def test_sub_cent_amount_is_rejected_however_small(text):
+    # text * 100 underflowed to an integral zero and read as 0 cents
+    with pytest.raises(ValueError, match="sub-cent"):
+        _dollars_to_cents(text, "retail")
+    assert outcome_of(_dollars_to_cents, text) == outcome_of(decimal_cents, text)
 
 
 def test_parsed_record_is_the_class_own_frozen_record():
