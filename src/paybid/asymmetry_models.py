@@ -859,37 +859,56 @@ def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
 def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
                           top: int, block: int) -> _CountedOccupancy:
     """Ascending occupancy stepped bid by bid over (leader, A's count)
-    arrays, until the live mass drops below _LIVE_MASS_TOL."""
+    arrays, until the live mass drops below _LIVE_MASS_TOL.
+
+    Steps come a merged chunk of rows at a time (_counted_rows). Within a
+    chunk the loop only applies each step's kernel and A's count lift,
+    writing the occupancy after every step into one array; wins,
+    index-weighted wins, visits and the stop test then come out of that
+    array with numpy, cut at the first step whose live mass is below the
+    tolerance.
+    """
     opening = bidding.opening_row()  # A bids surely, so absorb == 0
     live = np.zeros((2, top + 1))
     live[0, 1], live[1, 0] = opening.to_a, opening.to_b
     visits, wins, indexed = live.copy(), np.zeros_like(live), np.zeros_like(live)
-    for t, rows in enumerate(_counted_rows(bidding, silent, bids, top, block), start=1):
-        won = live * rows[:, 2]
-        wins += won
-        indexed += t * won
-        live = (live[:, None] * rows[:, :2]).sum(0)
-        live[0, 1:] = live[0, :-1]  # A's bid lifts its count; A is silent at top
-        live[0, 0] = 0.0
-        visits += live
-        if live.sum() < _LIVE_MASS_TOL:
+    t = 1  # the step the chunk starts at
+    for rows in _counted_rows(bidding, silent, bids, top, block):
+        n = min(len(rows), _MAX_STEPS - t + 1)
+        occupancy = np.zeros((n + 1, 2, top + 1))  # [r]: live before step t + r
+        occupancy[0] = live
+        for r in range(n):
+            moved = (occupancy[r][:, None] * rows[r, :, :2]).sum(0)
+            occupancy[r + 1, 0, 1:] = moved[0, :-1]  # A's bid lifts its count; A is silent at top
+            occupancy[r + 1, 1] = moved[1]
+        below = np.flatnonzero(occupancy[1:].reshape(n, -1).sum(1) < _LIVE_MASS_TOL)
+        if below.size:
+            n = int(below[0]) + 1
+        won = occupancy[:n] * rows[:n, :, 2]
+        wins += won.sum(0)
+        indexed += (np.arange(t, t + n)[:, None, None] * won).sum(0)
+        visits += occupancy[1:n + 1].sum(0)
+        live = occupancy[n]
+        t += n
+        if below.size:
             break
-        if t >= _MAX_STEPS:
+        if t > _MAX_STEPS:
             log.warning("counted-player recurrence stopped at %d bids with live mass %.3e",
-                        t, live.sum())
+                        t - 1, live.sum())
             break
     return _CountedOccupancy(wins, visits.sum(1), indexed.sum(1))
 
 
 def _counted_rows(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable, top: int,
                   block: int):
-    """Rows in force at q = 2, 3, ... without end, one rows[leader,
-    to_a/to_b/absorb, count] array per q: the bidding chain's where the
-    predicate holds, the silent chain's elsewhere.
+    """Rows in force at q = 2, 3, ... without end, one rows[q, leader,
+    to_a/to_b/absorb, count] array per chunk of up to _MERGE_CHUNK bid
+    indices: the bidding chain's where the predicate holds, the silent
+    chain's elsewhere.
 
     Each chain's rows come from tables of `block` bid indices; they are
-    merged _MERGE_CHUNK indices at a time, which keeps the merged array
-    small however many counts there are.
+    merged a chunk at a time, which keeps the merged array small however
+    many counts there are.
     """
     counts = np.arange(top + 1)
     for q in itertools.count(2, block):
@@ -899,7 +918,7 @@ def _counted_rows(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
         for r in range(0, block, _MERGE_CHUNK):
             qs = np.arange(q + r, q + min(r + _MERGE_CHUNK, block))
             on = np.broadcast_to(bids(counts, qs[:, None]), (len(qs), top + 1))
-            yield from np.where(on[:, None, None, :], *(table[r:r + len(qs)] for table in tables))
+            yield np.where(on[:, None, None, :], *(table[r:r + len(qs)] for table in tables))
 
 
 # ---------------------------------------------------------------------------

@@ -62,13 +62,15 @@ def to_cents(amount) -> int:
         raise ValueError(f"not a currency amount: {amount!r}") from exc
     if not d.is_finite():
         raise ValueError(f"currency amount is not finite: {amount!r}")
-    if d.adjusted() > 25:
+    _, digits, exponent = d.as_tuple()
+    if any(digits) and d.adjusted() > 25:
         raise ValueError(f"currency amount out of range: {amount!r}")
-    cents = d * 100
-    # below one cent, d * 100 may underflow to an integral zero
-    if (d and d.adjusted() < -2) or cents != cents.to_integral_value():
+    # Any nonzero digit below the cent place is sub-cent. Read it off the
+    # digits: d * 100 rounds to 28 digits, and underflows to zero far below
+    # one cent, so it could hide one.
+    if any(digits[max(len(digits) + exponent + 2, 0):]):
         raise ValueError(f"sub-cent amount not representable: {amount!r}")
-    return int(cents)
+    return int(d * 100)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ bid index of a range and builds every row of that range in one vectorized
 pass of the lottery. It is the only row path: TwoGroupChain.transitions,
 opening_row and build_transitions are its one-row case. A
 time-homogeneous chain needs one row per leader; evolve_recurrence reads
-that row, or for any other chain a table covering its whole horizon, and
-steps over plain floats. The vectorized simulators draw against the same
-rows.
+that row, or for any other chain a table per block of bid indices, and
+steps a whole block per numpy pass through prefix products of the 2x2
+kernels. The vectorized simulators draw against the same rows, one bid
+index at a time (_rows_by_step).
 """
 
 from __future__ import annotations
@@ -382,24 +383,47 @@ class OccupancySeries:
 _MAX_STEPS = 10_000_000
 
 
+def _row_tables(chain: TwoGroupChain, leader: str, block: int) -> Iterator[np.ndarray]:
+    """Rows out of `leader`'s state at q = 2, 3, ..., without end, as one
+    [to_a/to_b/absorb, r] array per `block` bid indices.
+
+    A group with no members never leads, so its rows just absorb. A
+    time-homogeneous chain repeats one table of its one row; any other chain
+    reads a row table per block.
+    """
+    size = chain.group_a_size if leader == "A" else chain.group_b_size
+    if size == 0 or chain.time_homogeneous:
+        row = chain.transitions(2, leader) if size else (0.0, 0.0, 1.0)
+        yield from itertools.repeat(np.repeat(np.array(row)[:, None], block, axis=1))
+    else:
+        for q in itertools.count(2, block):
+            yield np.array(chain.row_table(leader, q, q + block))
+
+
 def _rows_by_step(chain: TwoGroupChain, leader: str,
                   horizon: Optional[int] = None) -> Iterator[tuple[float, float, float]]:
     """(to_a, to_b, absorb) out of `leader`'s state at q = 2, 3, ... as floats,
-    without end.
+    without end, from tables of min(horizon, _ROW_BLOCK) bid indices."""
+    block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
+    for table in _row_tables(chain, leader, block):
+        yield from zip(*table.tolist())
 
-    A group with no members never leads, so its rows just absorb. A
-    time-homogeneous chain repeats its one row; any other chain reads row
-    tables of min(horizon, _ROW_BLOCK) bid indices each.
+
+def _prefix_products(kernels: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products K_0 K_1 ... K_r of a run of 2x2 kernels,
+    kernels[i, j, r] being entry (i, j) of K_r.
+
+    Doubling: the pass with span d multiplies each product by the one d
+    places before it, so after log2(len) passes entry r covers K_0..K_r.
+    Every term is a product of nonnegative numbers, so nothing cancels.
     """
-    if (chain.group_a_size if leader == "A" else chain.group_b_size) == 0:
-        yield from itertools.repeat((0.0, 0.0, 1.0))
-    elif chain.time_homogeneous:
-        yield from itertools.repeat(tuple(chain.transitions(2, leader)))
-    else:
-        block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
-        for q in itertools.count(2, block):
-            table = chain.row_table(leader, q, q + block)
-            yield from zip(table.to_a.tolist(), table.to_b.tolist(), table.absorb.tolist())
+    prods = kernels.copy()
+    span = 1
+    while span < prods.shape[2]:
+        left, right = prods[..., :-span], prods[..., span:]
+        prods[..., span:] = left[:, :1] * right[None, 0] + left[:, 1:] * right[None, 1]
+        span *= 2
+    return prods
 
 
 def evolve_recurrence(
@@ -413,55 +437,62 @@ def evolve_recurrence(
         P_A(t+1) = P_A(t) row_A.to_a + P_B(t) row_B.to_a    (same for B)
         end_X(t) = P_X(t) * row_X.absorb(q = t+1)
 
-    Iteration stops at the horizon (chain's own, or the argument), or when the
-    live mass drops below residual_tol, or after max_steps. A
-    time-homogeneous chain has one row per leader; any other chain reads a
-    row table built for the whole horizon at once (in blocks of _ROW_BLOCK
-    bid indices when there is none). Each step is plain float arithmetic.
+    Iteration stops when the live mass drops below residual_tol, at the
+    horizon (chain's own, or the argument), or after max_steps, which logs a
+    warning. Steps are taken a block of bid indices at a time: within a
+    block the occupancy after each step is the block's entry occupancy times
+    an inclusive prefix product of the 2x2 kernels (_prefix_products), and
+    ends, the running absorbed mass and the conservation error follow with
+    numpy, the absorbed mass summed in step order. A time-homogeneous chain
+    computes its products once for every block; any other chain computes
+    them from a row table per block of min(horizon, _ROW_BLOCK) bid indices.
     """
     if horizon is None:
         horizon = chain.horizon
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
-    start = first_bid_distribution(chain, conditioned=True)
-    p_a, p_b = float(start[0]), float(start[1])
-    p_a_hist: list[float] = []
-    p_b_hist: list[float] = []
-    end_a_hist: list[float] = []
-    end_b_hist: list[float] = []
+    occupancy = first_bid_distribution(chain, conditioned=True)
+    # the most steps to take; the first is taken whatever max_steps says
+    limit = max(1, max_steps if horizon is None else min(horizon, max_steps))
+    block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
+    blocks = []  # [p_a, p_b, end_a, end_b] by step, one array per block
     max_err = 0.0
     ended = 0.0
-    rows = zip(_rows_by_step(chain, "A", horizon), _rows_by_step(chain, "B", horizon))
-    t = 1
-    for (a_to_a, a_to_b, a_absorb), (b_to_a, b_to_b, b_absorb) in rows:
-        p_a_hist.append(p_a)
-        p_b_hist.append(p_b)
-        e_a = p_a * a_absorb
-        e_b = p_b * b_absorb
-        end_a_hist.append(e_a)
-        end_b_hist.append(e_b)
-        ended += e_a + e_b
-        p_a, p_b = p_a * a_to_a + p_b * b_to_a, p_a * a_to_b + p_b * b_to_b
-        live = p_a + p_b
-        max_err = max(max_err, abs(ended + live - 1.0))
-        t += 1
-        if horizon is not None and t > horizon:
+    tables = zip(*(_row_tables(chain, leader, block) for leader in ("A", "B")))
+    for t, rows in zip(itertools.count(1, block), tables):  # t: the block's first step
+        rows = np.array(rows)  # rows[leader, to_a/to_b/absorb, r] at q = t + 1 + r
+        if t == 1 or not chain.time_homogeneous:
+            prods = _prefix_products(rows[:, :2])
+        n = min(block, limit - t + 1)
+        after = occupancy[0] * prods[0, :, :n] + occupancy[1] * prods[1, :, :n]
+        history = np.empty((4, n))
+        history[:2, 0] = occupancy
+        history[:2, 1:] = after[:, :-1]
+        np.multiply(history[:2], rows[:, 2, :n], out=history[2:])
+        absorbed = np.cumsum(np.concatenate(([ended], history[2] + history[3])))[1:]
+        live = after[0] + after[1]
+        below = np.flatnonzero(live < residual_tol)
+        if below.size:
+            n = int(below[0]) + 1
+        max_err = max(max_err, float(np.abs(absorbed[:n] + live[:n] - 1.0).max()))
+        blocks.append(history[:, :n])
+        ended, occupancy, residual = absorbed[n - 1], after[:, n - 1], float(live[n - 1])
+        last = t + n - 1
+        if below.size or last == horizon:
             break
-        if live < residual_tol:
-            break
-        if t > max_steps:
-            log.warning("recurrence stopped at max_steps=%d with residual %.3e", max_steps, live)
+        if last >= max_steps:
+            log.warning("recurrence stopped at max_steps=%d with residual %.3e", max_steps, residual)
             break
     if max_err > 1e-9:
         raise ArithmeticError(f"occupancy mass leaked by {max_err:.3e}, chain rows are inconsistent")
-    steps = np.arange(1, len(p_a_hist) + 1)
+    p_a, p_b, end_a, end_b = np.concatenate(blocks, axis=1)
     return OccupancySeries(
-        steps=steps,
-        p_a=np.array(p_a_hist),
-        p_b=np.array(p_b_hist),
-        end_a=np.array(end_a_hist),
-        end_b=np.array(end_b_hist),
-        residual=p_a + p_b,
+        steps=np.arange(1, last + 1),
+        p_a=p_a,
+        p_b=p_b,
+        end_a=end_a,
+        end_b=end_b,
+        residual=residual,
         max_conservation_error=max_err,
         chain=chain,
     )

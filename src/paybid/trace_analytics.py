@@ -76,13 +76,15 @@ def _dollars_to_cents(text: str, what: str) -> int:
         raise ValueError(f"{what}: dollar amount is not finite: {text!r}")
     # From 10^26 dollars on, cents could lose digits in Decimal's 28-digit
     # context, and an exponent like 1e999990 takes seconds to become an int.
-    if d.adjusted() > 25:
+    _, digits, exponent = d.as_tuple()
+    if any(digits) and d.adjusted() > 25:
         raise ValueError(f"{what}: dollar amount out of range: {text!r}")
-    cents = d * 100
-    # below one cent, d * 100 may underflow to an integral zero
-    if (d and d.adjusted() < -2) or cents != cents.to_integral_value():
+    # Any nonzero digit below the cent place is sub-cent. Read it off the
+    # digits: d * 100 rounds to 28 digits, and underflows to zero far below
+    # one cent, so it could hide one.
+    if any(digits[max(len(digits) + exponent + 2, 0):]):
         raise ValueError(f"{what}: sub-cent dollar amount: {text!r}")
-    return int(cents)
+    return int(d * 100)
 
 
 def _slot_constructor(cls):

@@ -1,6 +1,8 @@
 """Asymmetric player pools: misperception, uncertainty, fee and value splits,
 collusion, shills, committed players, and the full-information system."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paybid.core_model import AuctionSpec, symmetric_beta, beta_from_mu
+from paybid import asymmetry_models
+from paybid.core_model import AuctionSpec, beta_from_mu, max_bids, symmetric_beta
 from paybid.markov_engine import (_ROW_BLOCK, TwoGroupChain, evolve_recurrence,
                                   expected_revenue_from_series)
 from paybid.asymmetry_models import (
@@ -31,6 +34,8 @@ from paybid.asymmetry_models import (
     uncertain_population_beta,
     valuation_asymmetry_chain,
 )
+from paybid.asymmetry_models import (_MERGE_CHUNK, _committed_bids, _committed_chains,
+                                     _counted_occupancy)
 
 FIX = AuctionSpec.fixed_price(100, 1, 0, 50)
 ASC = AuctionSpec.ascending(100, 1, 0.25, 50)
@@ -469,6 +474,83 @@ def test_counted_solvers_build_row_tables_in_bounded_blocks(monkeypatch, solve):
     monkeypatch.setattr(TwoGroupChain, "row_table", spy)
     solve(AuctionSpec.ascending(30, 1, 0.01, 10))
     assert spans and max(spans) <= _ROW_BLOCK
+
+
+def stepped_counted(spec, bidding, silent, bids):
+    """The counted-player occupancy one bid at a time, the reference for the
+    chunked stepper: (wins, visits, indexed wins, the step it stopped at)."""
+    top = next(c for c in itertools.count(1) if not bids(c, 2))
+    steps = int(max_bids(spec)) + top + 2  # every bidder has stopped by then
+    tables = [{leader: np.array(chain.row_table(leader, 2, 2 + steps)) for leader in "AB"}
+              for chain in (bidding, silent)]
+    counts = np.arange(top + 1)
+    opening = bidding.opening_row()
+    live = np.zeros((2, top + 1))
+    live[0, 1], live[1, 0] = opening.to_a, opening.to_b
+    visits, wins, indexed = live.copy(), np.zeros_like(live), np.zeros_like(live)
+    for t in range(1, steps + 1):
+        on = np.broadcast_to(bids(counts, t + 1), counts.shape)
+        rows = np.array([[np.where(on, tables[0][leader][k, t - 1], tables[1][leader][k, t - 1])
+                          for k in range(3)] for leader in "AB"])
+        won = live * rows[:, 2]
+        wins += won
+        indexed += t * won
+        moved = live[0] * rows[0, :2] + live[1] * rows[1, :2]
+        live = np.zeros_like(live)
+        live[0, 1:] = moved[0, :-1]  # A's bid lifts its count
+        live[1] = moved[1]
+        visits += live
+        if live.sum() < 1e-15:
+            return wins, visits.sum(1), indexed.sum(1), t
+    raise AssertionError("the reference did not finish")
+
+
+def counted_case(spec, kind, x):
+    """(bidding chain, silent chain, predicate) of a shill with budget x[0]
+    and x[1] identities, or of a committed player with multiplier x."""
+    if kind == "shill":
+        phases = shill_chain(spec, ShillPolicy(1.0, *x))
+        return phases.active, phases.spent, lambda count, q: count < x[0]
+    return (*_committed_chains(spec), functools.partial(_committed_bids, spec, x))
+
+
+def assert_counted_matches_the_loop(monkeypatch, spec, kind, x):
+    bidding, silent, bids = counted_case(spec, kind, x)
+    wins, visits, indexed, stop = stepped_counted(spec, bidding, silent, bids)
+    chunks = []
+    merged = asymmetry_models._counted_rows
+
+    def spy(*args):
+        for rows in merged(*args):
+            chunks.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(asymmetry_models, "_counted_rows", spy)
+    got = _counted_occupancy(spec, bidding, silent, bids)
+    assert got.wins == pytest.approx(wins, rel=1e-12, abs=0)
+    assert got.visits == pytest.approx(visits, rel=1e-12, abs=0)
+    assert got.indexed_wins == pytest.approx(indexed, rel=1e-12, abs=0)
+    # the stepper reads no chunk past the one holding the stopping step
+    assert sum(chunks[:-1]) < stop <= sum(chunks)
+    return stop, chunks
+
+
+@pytest.mark.parametrize("kind, x", [
+    *(pytest.param("shill", (budget, identities), id=f"shill-L{budget}-identities{identities}")
+      for budget in (1, 10, 50, 390) for identities in (1, 2)),
+    *(pytest.param("committed", alpha, id=f"committed-{alpha}") for alpha in (1.1, 2.0, 3.0)),
+])
+def test_counted_chunks_match_the_step_by_step_loop(monkeypatch, kind, x):
+    assert_counted_matches_the_loop(monkeypatch, ASC, kind, x)
+
+
+def test_counted_stop_on_the_last_step_of_a_chunk(monkeypatch):
+    # this shill's live mass first drops below 1e-15 at bid 352, the last
+    # step of the eleventh chunk, well inside the 1,101-index horizon
+    spec = AuctionSpec.ascending(12, 1, 0.01, 5)
+    stop, chunks = assert_counted_matches_the_loop(monkeypatch, spec, "shill", (10, 1))
+    assert stop == 11 * _MERGE_CHUNK
+    assert chunks == [_MERGE_CHUNK] * 11
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,11 @@ def test_to_cents_rejects_subcent_amounts():
         to_cents(1.005)
 
 
-@pytest.mark.parametrize("amount", ["1e-1000030", "1e-9999999999", "-1e-3"])
+@pytest.mark.parametrize("amount", ["1e-1000030", "1e-9999999999", "-1e-3",
+                                    "0.01" + "0" * 30 + "1"])
 def test_to_cents_rejects_amounts_below_one_cent_however_small(amount):
-    # amount * 100 underflows to an integral zero in Decimal's context
+    # amount * 100 underflows to an integral zero in Decimal's context, or
+    # rounds to 28 digits and drops the sub-cent one
     with pytest.raises(ValueError, match="sub-cent"):
         to_cents(amount)
     assert to_cents("0e-1000030") == 0
@@ -58,6 +60,12 @@ def test_to_cents_rejects_amounts_out_of_range(amount):
     with pytest.raises(ValueError, match="out of range"):
         to_cents(amount)
     assert to_cents("9" * 26) == int("9" * 26 + "00")
+
+
+@pytest.mark.parametrize("amount", ["0e30", "-0e30", "0E+26"])
+def test_to_cents_reads_zero_whatever_its_exponent(amount):
+    # the range check read the exponent of a zero and called it out of range
+    assert to_cents(amount) == 0
 
 
 @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, "Infinity", "NaN", "sNaN"])

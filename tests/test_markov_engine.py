@@ -1,5 +1,6 @@
 """Two-group absorbing chain: transition rows, closed form, recurrence."""
 
+import logging
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from paybid.core_model import AuctionSpec, symmetric_beta
 from paybid.markov_engine import (
+    _ROW_BLOCK,
     NonAbsorbingChainError,
     RowTable,
     TwoGroupChain,
@@ -194,6 +196,76 @@ def test_recurrence_without_horizon_reads_the_table_in_blocks():
             assert series.p_a[t - 1] == pytest.approx(p_a, rel=1e-12, abs=1e-300)
             assert series.p_b[t - 1] == pytest.approx(p_b, rel=1e-12, abs=1e-300)
         p_a, p_b = p_a * row_a.to_a + p_b * row_b.to_a, p_a * row_a.to_b + p_b * row_b.to_b
+
+
+def stepped_recurrence(chain, horizon=None, max_steps=10_000_000, residual_tol=1e-12):
+    """The recurrence one step at a time over plain floats, the reference for
+    evolve_recurrence's block steps: ([p_a, p_b, end_a, end_b] by step,
+    residual, largest conservation error, whether max_steps stopped it)."""
+    limit = min(horizon or max_steps, max_steps)
+    rows = [np.array(chain.row_table(leader, 2, 2 + limit)).T.tolist() for leader in "AB"]
+    p_a, p_b = (float(x) for x in first_bid_distribution(chain))
+    history, ended, worst = [], 0.0, 0.0
+    for t, ((aa, ab, a_end), (ba, bb, b_end)) in enumerate(zip(*rows), start=1):
+        history.append((p_a, p_b, p_a * a_end, p_b * b_end))
+        ended += p_a * a_end + p_b * b_end
+        p_a, p_b = p_a * aa + p_b * ba, p_a * ab + p_b * bb
+        worst = max(worst, abs(ended + p_a + p_b - 1.0))
+        if p_a + p_b < residual_tol or t == horizon:
+            return np.array(history).T, p_a + p_b, worst, False
+        if t == max_steps:
+            return np.array(history).T, p_a + p_b, worst, True
+    raise AssertionError("the reference ran out of rows")
+
+
+def constant_chain():
+    beta = lambda q, leader: 0.09  # noqa: E731
+    return TwoGroupChain(group_a_size=20, group_b_size=30, beta_a=beta, beta_b=beta,
+                         fee_a=1.0, fee_b=1.0, time_homogeneous=True)
+
+
+def varying_chain():
+    # the groups' betas move out of phase, so that the kernels of different
+    # bid indices do not commute and their order within a block matters
+    return TwoGroupChain(group_a_size=20, group_b_size=30,
+                         beta_a=lambda q, leader: 0.09 + 0.03 * math.sin(q / 7.0),
+                         beta_b=lambda q, leader: 0.09 + 0.03 * math.cos(q / 5.0),
+                         fee_a=1.0, fee_b=1.0)
+
+
+@pytest.mark.parametrize("make", [constant_chain, varying_chain], ids=["homogeneous", "varying"])
+@pytest.mark.parametrize("cap", ["horizon", "max_steps", "both"])
+@pytest.mark.parametrize("steps", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+def test_recurrence_blocks_match_the_step_by_step_loop(caplog, make, cap, steps):
+    # both chains are still live after _ROW_BLOCK + 1 bids, so the cap stops them
+    chain = make()
+    kwargs = {"horizon": steps} if cap == "horizon" else {"max_steps": steps}
+    if cap == "both":
+        kwargs["horizon"] = steps  # the horizon stops it, not the cap
+    want, residual, worst, capped = stepped_recurrence(chain, **kwargs)
+    with caplog.at_level(logging.WARNING, logger="paybid.markov_engine"):
+        series = evolve_recurrence(chain, **kwargs)
+    assert len(series.steps) == steps
+    assert np.array_equal(series.steps, np.arange(1, steps + 1))
+    got = np.array([series.p_a, series.p_b, series.end_a, series.end_b])
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert series.residual == pytest.approx(residual, rel=1e-12)
+    # both errors are rounding against a total mass of 1, in different orders
+    assert series.max_conservation_error == pytest.approx(worst, abs=1e-13)
+    assert capped == (cap == "max_steps")
+    warned = [r for r in caplog.records if "max_steps" in r.getMessage()]
+    assert len(warned) == capped
+
+
+def test_long_fixed_price_tail_keeps_its_step_count_and_closed_form():
+    # mixed k = 36: 548,506 bids before the live mass drops below 1e-12
+    chain = mixed_estimates_chain(AuctionSpec.fixed_price(100, 1, 0, 50), 36)
+    series = evolve_recurrence(chain)
+    summary = absorption_closed_form(chain)
+    assert len(series.steps) == 548_506
+    assert series.expected_bids == pytest.approx(summary.expected_bids, rel=1e-10)
+    assert expected_revenue_from_series(series) == pytest.approx(summary.expected_revenue,
+                                                                 rel=1e-10)
 
 
 def test_first_bid_distribution_conditioning():

@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, astuple
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, InvalidOperation
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -137,10 +137,12 @@ def decimal_cents(text, what):
         raise ValueError(f"{what}: not a dollar amount: {text!r}") from None
     if not d.is_finite():
         raise ValueError(f"{what}: dollar amount is not finite: {text!r}")
-    if d.adjusted() > 25:
+    if d and d.adjusted() > 25:
         raise ValueError(f"{what}: dollar amount out of range: {text!r}")
-    cents = d * 100
-    if (d and d.adjusted() < -2) or cents != cents.to_integral_value():
+    # exact: enough digits and exponent range that nothing rounds or underflows
+    exact = Context(prec=len(d.as_tuple().digits) + 2, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    cents = d.scaleb(2, exact)
+    if cents != cents.to_integral_value(context=exact):
         raise ValueError(f"{what}: sub-cent dollar amount: {text!r}")
     return int(cents)
 
@@ -167,6 +169,7 @@ def test_dollars_to_cents_edge_forms_match_decimal(text):
 @example(text="1.")
 @example(text="\u0663.5")
 @example(text="1e1000000")
+@example(text="0.01" + "0" * 30 + "1")
 def test_dollars_to_cents_matches_decimal(text):
     assert outcome_of(_dollars_to_cents, text) == outcome_of(decimal_cents, text)
 
@@ -180,12 +183,20 @@ def test_dollar_amount_out_of_range_is_rejected(text):
     assert _dollars_to_cents("9" * 26, "retail") == int("9" * 26 + "00")
 
 
-@pytest.mark.parametrize("text", ["1e-1000030", "1e-9999999999"])
+@pytest.mark.parametrize("text", ["1e-1000030", "1e-9999999999", "0.01" + "0" * 30 + "1"])
 def test_sub_cent_amount_is_rejected_however_small(text):
-    # text * 100 underflowed to an integral zero and read as 0 cents
+    # text * 100 underflowed to an integral zero and read as 0 cents, or was
+    # rounded to 28 digits and read as 1 cent
     with pytest.raises(ValueError, match="sub-cent"):
         _dollars_to_cents(text, "retail")
     assert outcome_of(_dollars_to_cents, text) == outcome_of(decimal_cents, text)
+
+
+@pytest.mark.parametrize("text", ["0e30", "-0e30", "0E+26"])
+def test_zero_is_no_cents_whatever_its_exponent(text):
+    # the range check read the exponent of a zero and called it out of range
+    assert _dollars_to_cents(text, "retail") == 0
+    assert outcome_of(decimal_cents, text) == 0
 
 
 def test_parsed_record_is_the_class_own_frozen_record():
