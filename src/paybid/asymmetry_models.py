@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -59,8 +58,6 @@ __all__ = [
     "chicken_payoffs",
     "full_info_equilibrium",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def _first_bid_scale(beta_later: float, perceived_n: int) -> float:
@@ -112,18 +109,30 @@ def _resolve(profile: GroupProfile, spec: AuctionSpec) -> tuple[float, float, in
     return fee, value, perceived
 
 
+def _betas_from_mus(mu, eligible: int):
+    """beta_from_mu elementwise over mu in [0, 1): -expm1(log1p(-mu) / eligible)."""
+    return -np.expm1(np.log1p(-mu) / eligible)
+
+
 def _perceived_beta(spec: AuctionSpec, fee: float, value: float, perceived: int) -> BetaFn:
     """Bid probability of a player who pays `fee`, values the item at
     `value` and best-responds to a symmetric world of `perceived` players:
-    the symmetric solution for the pot at stake, 0 once the fee covers it."""
-    increment = spec.increment if spec.is_ascending else 0.0
-    price = 0.0 if spec.is_ascending else spec.price
+    the symmetric solution for the pot at stake, 0 once the fee covers it.
 
-    def beta(q: int, leader: Optional[str]) -> float:
-        pot = value - increment * (q - 1) - price
-        if pot <= fee:
-            return 0.0
-        return beta_from_mu(1.0 - fee / pot, perceived if leader is None else perceived - 1)
+    At a fixed price the pot is the same at every bid index, so the beta
+    depends on the leader only. In an ascending auction it is one numpy
+    expression over the bid indices: a pot at or below the fee is raised to
+    the fee, which gives mu = 0 and beta = 0.
+    """
+    if not spec.is_ascending:
+        pot = value - spec.price
+        first, later = (beta_from_mu(1.0 - fee / pot, m) if pot > fee else 0.0
+                        for m in (perceived, perceived - 1))
+        return lambda q, leader: first if leader is None else later
+
+    def beta(q, leader: Optional[str]):
+        mu = 1.0 - fee / np.maximum(value - spec.increment * (q - 1), fee)
+        return _betas_from_mus(mu, perceived if leader is None else perceived - 1)
 
     return beta
 
@@ -247,18 +256,13 @@ def ascending_underestimate_revenue(spec: AuctionSpec, k: int) -> float:
     _check_bias(spec, k)
     n = spec.population
     exponent = (n - 1) / (n - k - 1)
-    limit = int(max_bids(spec)) + 1
-    total = 0.0
-    running = 1.0
-    for t in range(1, limit + 1):
-        if t >= 2:
-            pot = spec.value - spec.increment * (t - 1)
-            mu = 1.0 - (spec.fee / pot) ** exponent if pot > spec.fee else 0.0
-            running *= max(mu, 0.0)
-            if running == 0.0:
-                break
-        total += running
-    return (spec.fee + spec.increment) * total
+    # mu_t for t = 2..Q+1; a pot at or below the fee is raised to it, so mu = 0
+    pots = spec.value - spec.increment * np.arange(1, int(max_bids(spec)) + 1)
+    mus = 1.0 - (spec.fee / np.maximum(pots, spec.fee)) ** exponent
+    # the running products, and their sum term by term from t = 1 on
+    products = np.cumprod(np.maximum(mus, 0.0))
+    total = np.cumsum(np.concatenate(([1.0], products)))[-1]
+    return (spec.fee + spec.increment) * float(total)
 
 
 def mixed_estimates_chain(spec: AuctionSpec, k: int) -> TwoGroupChain:
@@ -653,6 +657,7 @@ def shill_profit(spec: AuctionSpec, policy: ShillPolicy) -> ShillOutcome:
         entered_profit=entered_profit,
         entered_win_prob=shill_wins,
         entered_shill_bids=shill_bids,
+        notes=occupancy.notes,
     )
 
 
@@ -733,7 +738,7 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
         auctioneer_profit=auctioneer,
         committed_win_prob=won,
         expected_total_bids=indexed,
-        notes=(),
+        notes=occupancy.notes,
     )
 
 
@@ -754,12 +759,20 @@ def _committed_chains(spec: AuctionSpec) -> tuple[TwoGroupChain, TwoGroupChain]:
     the symmetric n-player solution, which in an ascending auction is 0 past
     the last rational bid.
     """
-    last = int(max_bids(spec)) + 1 if spec.is_ascending else None
+    n = spec.population
+    if spec.is_ascending:
+        def regular_beta(q, leader: Optional[str]):
+            # symmetric_beta in exact cents; past the last rational bid the
+            # amount at stake drops below the fee and is raised to it (mu = 0)
+            at_stake = np.maximum(spec.value_cents - spec.increment_cents * (q - 1),
+                                  spec.fee_cents)
+            return _betas_from_mus(1.0 - spec.fee_cents / at_stake,
+                                   n if leader is None else n - 1)
+    else:
+        first, later = (symmetric_beta(spec, 2, first_bid=first_bid) for first_bid in (True, False))
 
-    def regular_beta(q: int, leader: Optional[str]) -> float:
-        if last is not None and q > last:
-            return 0.0
-        return symmetric_beta(spec, q, first_bid=leader is None)
+        def regular_beta(q, leader: Optional[str]):
+            return first if leader is None else later
 
     def chain(committed_beta: float) -> TwoGroupChain:
         return TwoGroupChain(
@@ -795,11 +808,13 @@ class _CountedOccupancy(NamedTuple):
     leading group, A then B: wins[g, c] is the probability that the auction
     ends with g leading and A holding c bids, visits[g] the expected bids of
     g, and indexed_wins[g] the final bid index summed over g's wins,
-    weighted by probability."""
+    weighted by probability; notes says why the solve stopped early, if it
+    did."""
 
     wins: np.ndarray
     visits: np.ndarray
     indexed_wins: np.ndarray
+    notes: tuple = ()
 
     def price_paid(self, spec: AuctionSpec) -> np.ndarray:
         """Expected final price summed over A's wins and over B's wins."""
@@ -818,7 +833,13 @@ def _counted_occupancy(spec: AuctionSpec, bidding: TwoGroupChain, silent: TwoGro
     price, where rows and predicate ignore the bid index, else bid by bid."""
     # A never holds more bids than the first count at which it passes on
     # bid 2, since the predicate only shrinks with q; the opening gives it one.
-    top = next(c for c in itertools.count(1) if not bids(c, 2))
+    # In an ascending auction a lone A under the uniform rule cannot outbid
+    # itself, so each of its bids after the first follows a rival bid, and
+    # rivals stop after bid Q+1: it places at most Q+2 bids.
+    cap = math.inf
+    if spec.is_ascending and bidding.group_a_size == 1 and bidding.tie_rule == "uniform":
+        cap = int(max_bids(spec)) + 2
+    top = next(c for c in itertools.count(1) if c >= cap or not bids(c, 2))
     if spec.is_ascending:
         block = min(int(max_bids(spec)) + 1, _ROW_BLOCK)
         return _counted_by_bid_index(bidding, silent, bids, top, block)
@@ -862,41 +883,55 @@ def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: C
     arrays, until the live mass drops below _LIVE_MASS_TOL.
 
     Steps come a merged chunk of rows at a time (_counted_rows). Within a
-    chunk the loop only applies each step's kernel and A's count lift,
-    writing the occupancy after every step into one array; wins,
-    index-weighted wins, visits and the stop test then come out of that
-    array with numpy, cut at the first step whose live mass is below the
-    tolerance.
+    chunk the loop only applies each step's kernel, two ufunc calls into
+    preallocated buffers; wins, index-weighted wins, visits and the stop
+    test then come out of the chunk's occupancies with numpy, cut at the
+    first step whose live mass is below the tolerance. Stopping at
+    _MAX_STEPS logs a warning and adds a note.
+
+    A's bid lifts its count by one through the layout alone: a state is a
+    row of 2 (top + 2) slots, A leading with count c at slot c and B leading
+    at slot top + 2 + c, and the step writes what flows to (A, c + 1) and
+    (B, c) into the slots from 1 on, both read as one (2, top + 1) block.
+    Slot top + 1 takes A's lift out of count top, which is 0 (A is silent
+    there), and is never read.
     """
     opening = bidding.opening_row()  # A bids surely, so absorb == 0
-    live = np.zeros((2, top + 1))
-    live[0, 1], live[1, 0] = opening.to_a, opening.to_b
-    visits, wins, indexed = live.copy(), np.zeros_like(live), np.zeros_like(live)
+    width = top + 1
+    slots = np.zeros((_MERGE_CHUNK + 1, 2 * (width + 1)))  # [r]: live before step t + r
+    occupancy = slots.reshape(-1, 2, width + 1)[:, :, :width]  # [r, leader, count]
+    after = slots[:, 1:2 * width + 1].reshape(-1, 2, width)  # [r]: what step r - 1 moves in
+    sources = occupancy[:, :, None]  # [r, leader, 1, count], against a kernel
+    flows = np.empty((2, 2, width))  # [leader, destination, count]
+    from_a, from_b = flows
+    occupancy[0, 0, 1], occupancy[0, 1, 0] = opening.to_a, opening.to_b
+    visits, wins, indexed = occupancy[0].copy(), np.zeros((2, width)), np.zeros((2, width))
+    notes = ()
     t = 1  # the step the chunk starts at
     for rows in _counted_rows(bidding, silent, bids, top, block):
         n = min(len(rows), _MAX_STEPS - t + 1)
-        occupancy = np.zeros((n + 1, 2, top + 1))  # [r]: live before step t + r
-        occupancy[0] = live
-        for r in range(n):
-            moved = (occupancy[r][:, None] * rows[r, :, :2]).sum(0)
-            occupancy[r + 1, 0, 1:] = moved[0, :-1]  # A's bid lifts its count; A is silent at top
-            occupancy[r + 1, 1] = moved[1]
-        below = np.flatnonzero(occupancy[1:].reshape(n, -1).sum(1) < _LIVE_MASS_TOL)
+        for source, kernel, moved in zip(sources[:n], rows[:n, :, :2], after[1:n + 1]):
+            np.multiply(source, kernel, flows)
+            np.add(from_a, from_b, moved)
+        below = np.flatnonzero(occupancy[1:n + 1].sum((1, 2)) < _LIVE_MASS_TOL)
         if below.size:
             n = int(below[0]) + 1
         won = occupancy[:n] * rows[:n, :, 2]
         wins += won.sum(0)
         indexed += (np.arange(t, t + n)[:, None, None] * won).sum(0)
         visits += occupancy[1:n + 1].sum(0)
-        live = occupancy[n]
         t += n
         if below.size:
             break
+        slots[0] = slots[n]
         if t > _MAX_STEPS:
-            log.warning("counted-player recurrence stopped at %d bids with live mass %.3e",
-                        t - 1, live.sum())
+            live = occupancy[0].sum()
+            import logging  # loaded on the first warning, not with the model
+            logging.getLogger(__name__).warning(
+                "counted-player recurrence stopped at %d bids with live mass %.3e", t - 1, live)
+            notes = (f"stopped at the step cap after {t - 1} bids with live mass {live:.3e}",)
             break
-    return _CountedOccupancy(wins, visits.sum(1), indexed.sum(1))
+    return _CountedOccupancy(wins, visits.sum(1), indexed.sum(1), notes)
 
 
 def _counted_rows(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable, top: int,
@@ -917,8 +952,8 @@ def _counted_rows(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
                   .transpose(2, 0, 1)[..., None] for chain in (bidding, silent)]
         for r in range(0, block, _MERGE_CHUNK):
             qs = np.arange(q + r, q + min(r + _MERGE_CHUNK, block))
-            on = np.broadcast_to(bids(counts, qs[:, None]), (len(qs), top + 1))
-            yield np.where(on[:, None, None, :], *(table[r:r + len(qs)] for table in tables))
+            on = bids(counts, qs[:, None, None, None])  # against [q, leader, column, count]
+            yield np.where(on, *(table[r:r + len(qs)] for table in tables))
 
 
 # ---------------------------------------------------------------------------

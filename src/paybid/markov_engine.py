@@ -19,27 +19,27 @@ the uniform rule with the eligible A count forced to one.
 
 Bid probabilities are callables beta(q, leader) so that ascending auctions,
 where the amount at stake shrinks with the bid index q, fit the same engine.
-leader is "A", "B", or None for the opening bid.
+leader is "A", "B", or None for the opening bid. q is an int or an integer
+array of bid indices (see BetaFn).
 
-Rows are tabulated: TwoGroupChain.row_table calls the beta callables once per
-bid index of a range and builds every row of that range in one vectorized
-pass of the lottery. It is the only row path: TwoGroupChain.transitions,
-opening_row and build_transitions are its one-row case. A
-time-homogeneous chain needs one row per leader; evolve_recurrence reads
-that row, or for any other chain a table per block of bid indices, and
-steps a whole block per numpy pass through prefix products of the 2x2
-kernels. The vectorized simulators draw against the same rows, one bid
-index at a time (_rows_by_step).
+Rows are tabulated: TwoGroupChain.row_table calls each beta callable once
+with the array of a range's bid indices and builds every row of that range
+in one vectorized pass of the lottery. It is the only row path:
+TwoGroupChain.transitions, opening_row and build_transitions are its
+one-row case. A time-homogeneous chain needs one row per leader;
+evolve_recurrence reads that row, or for any other chain a table per block
+of bid indices, and steps a whole block per numpy pass through prefix
+products of the 2x2 kernels. The vectorized simulators draw against the
+same rows, one bid index at a time (_rows_by_step).
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -58,9 +58,12 @@ __all__ = [
     "expected_revenue_from_series",
 ]
 
-log = logging.getLogger(__name__)
 
-BetaFn = Callable[[int, Optional[str]], float]
+#: beta(q, leader): the bid probability of one group member at bid index q
+#: when `leader` leads. q is an int or an integer ndarray of bid indices; an
+#: array q gives an array of its shape or one scalar, which stands for every
+#: index, and an int q gives a float (a numpy float counts).
+BetaFn = Callable[[Union[int, np.ndarray], Optional[str]], Union[float, np.ndarray]]
 
 _TIE_RULES = ("uniform", "single_ticket")
 _ROW_BLOCK = 1024  # bid indices per row-table block when no horizon bounds the chain
@@ -87,11 +90,13 @@ class NonAbsorbingChainError(ValueError):
     """Raised when the chain cannot reach an absorbing state."""
 
 
-def _check_probs(name: str, values: Sequence[float]) -> np.ndarray:
-    for x in values:
-        if not 0.0 <= x <= 1.0:  # NaN fails the comparison too
-            raise ValueError(f"{name} must be a probability in [0, 1], got {x}")
-    return np.array(values, dtype=float)
+def _check_probs(betas: np.ndarray) -> None:
+    """Raise on the first entry of betas[group, r] outside [0, 1], A's first."""
+    valid = (betas >= 0.0) & (betas <= 1.0)  # NaN fails the comparisons too
+    if not valid.all():
+        group, r = np.argwhere(~valid)[0]
+        raise ValueError(f"beta_{'ab'[group]} must be a probability in [0, 1], "
+                         f"got {betas[group, r]}")
 
 
 @lru_cache(maxsize=256)
@@ -243,15 +248,17 @@ class TwoGroupChain:
     def row_table(self, leader: str, q_start: int, q_stop: int) -> RowTable:
         """Rows out of `leader`'s state for every bid index q_start <= q < q_stop.
 
-        Each beta closure is called once per q; all rows then come out of one
-        vectorized pass of the lottery (see _lottery_rows).
+        Each beta is called once, with the array of bid indices; all rows
+        then come out of one vectorized pass of the lottery (see
+        _lottery_rows).
         """
-        qs = range(q_start, q_stop)
-        betas_a = _check_probs("beta_a", [self.beta_a(q, leader) for q in qs])
-        betas_b = _check_probs("beta_b", [self.beta_b(q, leader) for q in qs])
+        qs = np.arange(q_start, q_stop)
+        betas = np.empty((2, len(qs)))  # a scalar beta fills its whole row
+        betas[0], betas[1] = self.beta_a(qs, leader), self.beta_b(qs, leader)
+        _check_probs(betas)
         elig_a, elig_b = _eligible_counts(self.group_a_size, self.group_b_size, leader,
                                           self.tie_rule)
-        return RowTable(*_lottery_rows(elig_a, elig_b, betas_a, betas_b))
+        return RowTable(*_lottery_rows(elig_a, elig_b, *betas))
 
     def opening_row(self) -> TransitionRow:
         """Outcome split of the opening bid: (goes to A, goes to B, no bid)."""
@@ -481,7 +488,9 @@ def evolve_recurrence(
         if below.size or last == horizon:
             break
         if last >= max_steps:
-            log.warning("recurrence stopped at max_steps=%d with residual %.3e", max_steps, residual)
+            import logging  # loaded on the first warning, not with the model
+            logging.getLogger(__name__).warning(
+                "recurrence stopped at max_steps=%d with residual %.3e", max_steps, residual)
             break
     if max_err > 1e-9:
         raise ArithmeticError(f"occupancy mass leaked by {max_err:.3e}, chain rows are inconsistent")

@@ -151,6 +151,35 @@ def test_ascending_underestimate_requires_ascending():
         ascending_underestimate_revenue(FIX, 1)
 
 
+def looped_ascending_underestimate(spec, k):
+    """The product formula one bid at a time, the reference for the
+    cumulative products and sums of ascending_underestimate_revenue."""
+    n = spec.population
+    exponent = (n - 1) / (n - k - 1)
+    total, running = 0.0, 1.0
+    for t in range(1, int(max_bids(spec)) + 2):
+        if t >= 2:
+            pot = spec.value - spec.increment * (t - 1)
+            mu = 1.0 - (spec.fee / pot) ** exponent if pot > spec.fee else 0.0
+            running *= max(mu, 0.0)
+            if running == 0.0:
+                break
+        total += running
+    return (spec.fee + spec.increment) * total
+
+
+# a fee within a cent of a huge value: every mu is ~1e-16, so the running
+# product underflows to 0 at bid 24 of the 101 before the horizon
+UNDERFLOW = AuctionSpec.ascending("100000000000001", "100000000000000", "0.01", 50)
+
+
+@pytest.mark.parametrize("spec", [ASC, UNDERFLOW], ids=["ASC", "underflow"])
+@pytest.mark.parametrize("k", [-48, -10, 0, 5, 48])
+def test_ascending_underestimate_matches_the_loop(spec, k):
+    assert ascending_underestimate_revenue(spec, k) == pytest.approx(
+        looped_ascending_underestimate(spec, k), rel=1e-13, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # mixed over and under estimation
 
@@ -553,6 +582,41 @@ def test_counted_stop_on_the_last_step_of_a_chunk(monkeypatch):
     assert chunks == [_MERGE_CHUNK] * 11
 
 
+def test_lone_counted_player_places_at_most_q_plus_two_bids():
+    # TINY (Q = 9): the committed player's stop rule allows 27 bids at
+    # alpha = 3, but a player who cannot outbid itself places at most Q + 2
+    spec = AuctionSpec.ascending(10, 1, 1, 3)
+    bidding, silent, bids = counted_case(spec, "committed", 3.0)
+    wins, visits, indexed, _ = stepped_counted(spec, bidding, silent, bids)
+    assert wins.shape == (2, 28)
+    got = _counted_occupancy(spec, bidding, silent, bids)
+    assert got.wins.shape == (2, int(max_bids(spec)) + 3)
+    assert not wins[:, got.wins.shape[1]:].any()  # the uncapped reference puts no mass there
+    assert got.wins == pytest.approx(wins[:, :got.wins.shape[1]], rel=1e-12, abs=0)
+    assert got.visits == pytest.approx(visits, rel=1e-12, abs=0)
+    assert got.indexed_wins == pytest.approx(indexed, rel=1e-12, abs=0)
+
+
+def test_huge_budget_or_backstop_solves_on_the_capped_count_axis():
+    # without the cap these asked for 14.3 GiB and 2.38 GiB
+    assert shill_profit(ASC, ShillPolicy(1.0, 10_000_000)) == shill_profit(ASC, ShillPolicy(1.0, 1000))
+    assert (committed_player_profit(ASC, CommittedPolicy(1e5))
+            == committed_player_profit(ASC, CommittedPolicy(1e3)))
+
+
+def test_counted_step_cap_is_reported_in_the_notes(monkeypatch, caplog):
+    assert shill_profit(ASC, ShillPolicy(1.0, 10)).notes == ()
+    assert committed_player_profit(ASC, CommittedPolicy(1.5)).notes == ()
+    monkeypatch.setattr(asymmetry_models, "_MAX_STEPS", 40)
+    with caplog.at_level("WARNING", logger="paybid.asymmetry_models"):
+        outcomes = shill_profit(ASC, ShillPolicy(1.0, 10)), committed_player_profit(ASC, CommittedPolicy(1.5))
+    assert len(caplog.records) == 2
+    for out in outcomes:
+        (note,) = out.notes
+        assert note.startswith("stopped at the step cap after 40 bids with live mass ")
+        assert float(note.rsplit(" ", 1)[1]) > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # committed player
 
@@ -655,6 +719,43 @@ def test_committed_loss_is_bounded_by_the_backstop():
     for alpha in (1.1, 1.3, 2.0):
         out = committed_player_profit(TINY, CommittedPolicy(alpha))
         assert out.player_profit >= -(alpha - 1) * 10 - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# array-valued betas
+
+Q = int(max_bids(ASC))
+BID_INDICES = [1, 2, Q, Q + 1, Q + 2, 1000]
+
+
+def both_phases(phases):
+    return [phases.active, phases.spent]
+
+
+def both_specs(build):
+    return [pytest.param(spec, build, id=name) for name, spec in (("FIX", FIX), ("ASC", ASC))]
+
+
+@pytest.mark.parametrize("spec, build", [
+    *both_specs(lambda spec: [underestimate_chain(spec, 5)]),
+    *both_specs(lambda spec: [mixed_estimates_chain(spec, 5)]),
+    pytest.param(FIX, lambda spec: [bidfee_asymmetry_chain(spec, 10, 0.5)], id="bidfee"),
+    pytest.param(FIX, lambda spec: [valuation_asymmetry_chain(spec, 10, 1.5)], id="valuation"),
+    *(pytest.param(FIX, lambda spec, rule=rule: [collusion_chain(spec, 5, rule)], id=rule)
+      for rule in ("many_bidders", "single_bidder")),
+    *(param for ids in (1, 2) for param in both_specs(
+        lambda spec, ids=ids: both_phases(shill_chain(spec, ShillPolicy(1.0, 10, ids))))),
+    *both_specs(lambda spec: list(_committed_chains(spec))),
+])
+@pytest.mark.parametrize("leader", [None, "A", "B"])
+def test_betas_of_an_array_of_bid_indices_match_scalar_calls(spec, build, leader):
+    qs = np.array(BID_INDICES)
+    for chain in build(spec):
+        for beta in (chain.beta_a, chain.beta_b):
+            scalars = [beta(q, leader) for q in BID_INDICES]
+            assert all(isinstance(x, float) for x in scalars)
+            got = np.broadcast_to(beta(qs, leader), qs.shape)
+            np.testing.assert_array_max_ulp(got, np.array(scalars), maxulp=1)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ def test_row_table_matches_build_transitions(data, k_a, k_b, tie_rule, q_start):
     betas_b = data.draw(st.lists(probabilities, min_size=rows, max_size=rows))
     chain = TwoGroupChain(
         group_a_size=k_a, group_b_size=k_b,
-        beta_a=lambda q, lead: betas_a[q - q_start], beta_b=lambda q, lead: betas_b[q - q_start],
+        beta_a=lambda q, lead: np.asarray(betas_a)[q - q_start],
+        beta_b=lambda q, lead: np.asarray(betas_b)[q - q_start],
         fee_a=1.0, fee_b=1.0, tie_rule=tie_rule)
     table = chain.row_table(leader, q_start, q_start + rows)
     assert_table_matches_rows(chain, leader, q_start, table)
@@ -140,7 +141,8 @@ def test_row_table_edge_cases():
     for k_a, k_b, tie_rule, leader in cases:
         chain = TwoGroupChain(
             group_a_size=k_a, group_b_size=k_b,
-            beta_a=lambda q, lead: betas[q - 2], beta_b=lambda q, lead: betas[::-1][q - 2],
+            beta_a=lambda q, lead: np.asarray(betas)[q - 2],
+            beta_b=lambda q, lead: np.asarray(betas[::-1])[q - 2],
             fee_a=1.0, fee_b=1.0, tie_rule=tie_rule)
         table = chain.row_table(leader, 2, 2 + len(betas))
         assert_table_matches_rows(chain, leader, 2, table)
@@ -164,7 +166,7 @@ def test_row_table_of_ascending_chain_past_the_last_rational_bid():
 
 def test_row_table_rejects_a_bad_probability():
     chain = TwoGroupChain(group_a_size=2, group_b_size=2,
-                          beta_a=lambda q, lead: 0.5 if q < 5 else 1.5,
+                          beta_a=lambda q, lead: np.where(q < 5, 0.5, 1.5),
                           beta_b=lambda q, lead: 0.5, fee_a=1.0, fee_b=1.0)
     chain.row_table("A", 2, 5)
     with pytest.raises(ValueError):
@@ -183,7 +185,7 @@ def test_recurrence_without_horizon_reads_the_table_in_blocks():
     # a chain that is not time homogeneous and has no horizon: the rows come
     # block by block, and the series must not depend on where blocks split
     def beta(q, leader):
-        return 0.09 + 0.01 * math.sin(q / 7.0)
+        return 0.09 + 0.01 * np.sin(q / 7.0)
 
     chain = TwoGroupChain(group_a_size=20, group_b_size=30, beta_a=beta, beta_b=beta,
                           fee_a=1.0, fee_b=1.0)
@@ -228,8 +230,8 @@ def varying_chain():
     # the groups' betas move out of phase, so that the kernels of different
     # bid indices do not commute and their order within a block matters
     return TwoGroupChain(group_a_size=20, group_b_size=30,
-                         beta_a=lambda q, leader: 0.09 + 0.03 * math.sin(q / 7.0),
-                         beta_b=lambda q, leader: 0.09 + 0.03 * math.cos(q / 5.0),
+                         beta_a=lambda q, leader: 0.09 + 0.03 * np.sin(q / 7.0),
+                         beta_b=lambda q, leader: 0.09 + 0.03 * np.cos(q / 5.0),
                          fee_a=1.0, fee_b=1.0)
 
 
@@ -372,7 +374,7 @@ def test_recurrence_accepts_scalar_or_callable_betas():
     first = symmetric_beta(fix, 1)
 
     def from_q(q, leader):
-        return first if q == 1 else beta
+        return np.where(q == 1, first, beta)
 
     a = TwoGroupChain(group_a_size=25, group_b_size=25, beta_a=from_q,
                       beta_b=from_q, fee_a=1.0, fee_b=1.0, price=0.0,
