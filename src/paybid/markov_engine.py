@@ -22,6 +22,11 @@ where the amount at stake shrinks with the bid index q, fit the same engine.
 leader is "A", "B", or None for the opening bid. q is an int or an integer
 array of bid indices (see BetaFn).
 
+With e_A and e_B eligible coins the lottery is one integral per group,
+to_a = e_A beta_A int_0^1 (1 - beta_A s)^(e_A - 1) (1 - beta_B s)^e_B ds,
+whose polynomial integrand a Gauss-Legendre rule integrates exactly (see
+_lottery_rows); the no-bid entry is (1 - beta_A)^e_A (1 - beta_B)^e_B.
+
 Rows are tabulated: TwoGroupChain.row_table calls each beta callable once
 with the array of a range's bid indices and builds every row of that range
 in one vectorized pass of the lottery. It is the only row path:
@@ -36,7 +41,6 @@ same rows, one bid index at a time (_rows_by_step).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional, Union
@@ -99,67 +103,46 @@ def _check_probs(betas: np.ndarray) -> None:
                          f"got {betas[group, r]}")
 
 
-@lru_cache(maxsize=256)
-def _binom_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log C(n, k), k and n - k for k = 0..n."""
-    k = np.arange(n + 1, dtype=float)
-    terms = (np.array([math.log(math.comb(n, j)) for j in range(n + 1)]), k, n - k)
-    for term in terms:
-        term.setflags(write=False)  # shared by every caller through the cache
-    return terms
+@lru_cache(maxsize=64)
+def _legendre_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of a count-point rule on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    rule = ((nodes + 1.0) / 2.0, weights / 2.0)
+    for part in rule:
+        part.setflags(write=False)  # shared by every caller through the cache
+    return rule
 
 
-def _binom_pmfs(n: int, ps: np.ndarray) -> np.ndarray:
-    """Binomial(n, p) probabilities of 0..n successes, one row per p in ps.
-
-    Every term is exp(log C(n, k) + k log p + (n - k) log1p(-p)), so no
-    intermediate can overflow and a subnormal p simply underflows the k >= 1
-    terms to zero. The endpoints p = 0 and p = 1 are point masses.
-    """
-    log_coefs, k, rest = _binom_terms(n)
-    inner = (ps > 0.0) & (ps < 1.0)
-    p = np.where(inner, ps, 0.5)[:, None]  # endpoint rows are overwritten below
-    out = np.exp(log_coefs + k * np.log(p) + rest * np.log1p(-p))
-    if not inner.all():
-        out[~inner] = 0.0
-        out[ps <= 0.0, 0] = 1.0
-        out[ps >= 1.0, n] = 1.0
-    return out
-
-
-@lru_cache(maxsize=256)
-def _share_grids(elig_a: int, elig_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """i / (i + j) and j / (i + j) over i A heads and j B heads, 0 at (0, 0)."""
-    i = np.arange(elig_a + 1, dtype=float)[:, None]
-    j = np.arange(elig_b + 1, dtype=float)[None, :]
-    total = i + j
-    total[0, 0] = 1.0  # avoid 0/0; the (0,0) cell is the absorbing event
-    grids = (i / total, j / total)
-    for grid in grids:
-        grid.setflags(write=False)  # shared by every caller through the cache
-    return grids
-
-
-def _lottery_rows(elig_a: int, elig_b: int, betas_a: np.ndarray,
-                  betas_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lottery_rows(elig_a: int, elig_b: int,
+                  betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(to_a, to_b, absorb) for elig_a + elig_b independent coins and a
-    uniform draw, one entry per pair (betas_a[r], betas_b[r]).
+    uniform draw, one entry per pair (betas[0, r], betas[1, r]).
 
-    With i heads from A and j from B the bid goes to group A with probability
-    i / (i + j). The no-head event absorbs. Expectations are taken over the
-    two independent binomials: with pmf matrices P_A and P_B (one row per
-    pair) and the fixed grid F_A[i, j] = i / (i + j), to_a is the row sum of
-    (P_A @ F_A) * P_B, so no rows x elig_a x elig_b temporary is built. The
-    absorbing cell is P_A[:, 0] * P_B[:, 0], where each factor is the closed
-    form (1 - beta)^elig taken in log space (1 for a group with no eligible
-    member, whatever its probability).
+    A given A coin gets the bid with probability beta_a E[1 / (1 + Y)], Y the
+    heads among the other coins, and E[1 / (1 + Y)] = int_0^1 E[s^Y] ds, so
+    to_a = elig_a beta_a int_0^1 (1 - beta_a s)^(elig_a - 1) (1 - beta_b s)^elig_b ds
+    (to_b likewise). The integrand is a polynomial of degree
+    elig_a + elig_b - 1, which ceil((elig_a + elig_b) / 2) Gauss-Legendre
+    nodes integrate exactly, with positive weights, so nothing cancels.
+    absorb is the closed form (1 - beta_a)^elig_a (1 - beta_b)^elig_b with
+    each factor taken in log space (1 for a group with no eligible coin), and
+    to_a and to_b are scaled to sum to its complement, so every row sums to 1
+    within a rounding.
     """
-    pa = _binom_pmfs(elig_a, betas_a)
-    pb = _binom_pmfs(elig_b, betas_b)
-    frac_a, frac_b = _share_grids(elig_a, elig_b)
-    to_a = ((pa @ frac_a) * pb).sum(1)
-    to_b = ((pa @ frac_b) * pb).sum(1)
-    return to_a, to_b, pa[:, 0] * pb[:, 0]
+    elig = np.array([elig_a, elig_b], dtype=float)[:, None]
+    nodes, weights = _legendre_nodes(max(1, (elig_a + elig_b + 1) // 2))
+    stay = 1.0 - betas[:, :, None] * nodes  # [group, r, node], positive as nodes < 1
+    powers = stay ** elig[:, :, None]
+    # (1 - beta_a s)^elig_a (1 - beta_b s)^elig_b over one factor of the
+    # group's own; for a group with no eligible coin the elig factor zeroes it
+    moves = elig * betas * (powers[0] * powers[1] / stay @ weights)
+    with np.errstate(divide="ignore"):  # log1p(-1) is -inf: that group always bids
+        logs = np.multiply(elig, np.log1p(-betas), out=np.zeros_like(betas), where=elig > 0)
+    moved = -np.expm1(logs[0] + logs[1])
+    total = moves[0] + moves[1]  # 0 only where no coin can come up heads
+    moves *= moved / np.where(total > 0.0, total, 1.0)
+    factors = np.exp(logs)
+    return moves[0], moves[1], factors[0] * factors[1]
 
 
 def _eligible_counts(k_a: int, k_b: int, leader: Optional[str], tie_rule: str) -> tuple[int, int]:
@@ -258,7 +241,7 @@ class TwoGroupChain:
         _check_probs(betas)
         elig_a, elig_b = _eligible_counts(self.group_a_size, self.group_b_size, leader,
                                           self.tie_rule)
-        return RowTable(*_lottery_rows(elig_a, elig_b, *betas))
+        return RowTable(*_lottery_rows(elig_a, elig_b, betas))
 
     def opening_row(self) -> TransitionRow:
         """Outcome split of the opening bid: (goes to A, goes to B, no bid)."""
@@ -354,7 +337,8 @@ class OccupancySeries:
     p_a[t-1] is the probability that after t bids the auction is still live
     with group A leading; end_a[t-1] the probability it ended at exactly t
     bids with A winning. residual is the transient mass left when iteration
-    stopped (0 for chains that terminate within the horizon).
+    stopped (0 for chains that terminate within the horizon). notes says why
+    the recurrence stopped early, if max_steps stopped it.
     """
 
     steps: np.ndarray
@@ -365,6 +349,7 @@ class OccupancySeries:
     residual: float
     max_conservation_error: float
     chain: TwoGroupChain
+    notes: tuple = ()
 
     @property
     def win_prob_a(self) -> float:
@@ -446,7 +431,7 @@ def evolve_recurrence(
 
     Iteration stops when the live mass drops below residual_tol, at the
     horizon (chain's own, or the argument), or after max_steps, which logs a
-    warning. Steps are taken a block of bid indices at a time: within a
+    warning and adds a note. Steps are taken a block of bid indices at a time: within a
     block the occupancy after each step is the block's entry occupancy times
     an inclusive prefix product of the 2x2 kernels (_prefix_products), and
     ends, the running absorbed mass and the conservation error follow with
@@ -463,6 +448,7 @@ def evolve_recurrence(
     limit = max(1, max_steps if horizon is None else min(horizon, max_steps))
     block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
     blocks = []  # [p_a, p_b, end_a, end_b] by step, one array per block
+    notes = ()
     max_err = 0.0
     ended = 0.0
     tables = zip(*(_row_tables(chain, leader, block) for leader in ("A", "B")))
@@ -488,9 +474,9 @@ def evolve_recurrence(
         if below.size or last == horizon:
             break
         if last >= max_steps:
+            notes = (f"recurrence stopped at max_steps={max_steps} with residual {residual:.3e}",)
             import logging  # loaded on the first warning, not with the model
-            logging.getLogger(__name__).warning(
-                "recurrence stopped at max_steps=%d with residual %.3e", max_steps, residual)
+            logging.getLogger(__name__).warning(notes[0])
             break
     if max_err > 1e-9:
         raise ArithmeticError(f"occupancy mass leaked by {max_err:.3e}, chain rows are inconsistent")
@@ -504,6 +490,7 @@ def evolve_recurrence(
         residual=residual,
         max_conservation_error=max_err,
         chain=chain,
+        notes=notes,
     )
 
 

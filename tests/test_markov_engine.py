@@ -257,6 +257,7 @@ def test_recurrence_blocks_match_the_step_by_step_loop(caplog, make, cap, steps)
     assert capped == (cap == "max_steps")
     warned = [r for r in caplog.records if "max_steps" in r.getMessage()]
     assert len(warned) == capped
+    assert bool(series.notes) == capped
 
 
 def test_long_fixed_price_tail_keeps_its_step_count_and_closed_form():
@@ -268,6 +269,25 @@ def test_long_fixed_price_tail_keeps_its_step_count_and_closed_form():
     assert series.expected_bids == pytest.approx(summary.expected_bids, rel=1e-10)
     assert expected_revenue_from_series(series) == pytest.approx(summary.expected_revenue,
                                                                  rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [36, 44, 46, 48])
+def test_mixed_rows_sum_to_one(k):
+    # rows that missed 1 by 6.7e-16 at k = 44 leaked 7e-9 of mass over 10^7 steps
+    chain = mixed_estimates_chain(AuctionSpec.fixed_price(100, 1, 0, 50), k)
+    for leader in "AB":
+        assert abs(math.fsum(chain.transitions(2, leader)) - 1.0) <= math.ulp(1.0), leader
+
+
+def test_recurrence_at_the_step_cap_conserves_mass_and_says_so():
+    # mixed k = 44 is still live after 10^7 bids, so the cap stops it
+    chain = mixed_estimates_chain(AuctionSpec.fixed_price(100, 1, 0, 50), 44)
+    series = evolve_recurrence(chain)
+    assert len(series.steps) == 10_000_000
+    assert series.max_conservation_error <= 1e-9
+    assert series.residual > 0.99
+    assert series.notes == (f"recurrence stopped at max_steps=10000000 with residual "
+                            f"{series.residual:.3e}",)
 
 
 def test_first_bid_distribution_conditioning():
@@ -311,22 +331,56 @@ def test_ascending_chain_conserves_mass():
     assert series.expected_bids == pytest.approx(80.0, abs=1e-9)
 
 
-def exact_uniform_row(chain, leader, q):
-    """(to_a, to_b, absorb) of a uniform-lottery row as Fractions: the float
-    betas taken exactly, then every (A heads, B heads) outcome summed."""
-    elig_a = chain.group_a_size - (leader == "A")
-    elig_b = chain.group_b_size - (leader == "B")
+def exact_uniform_row(elig_a, elig_b, beta_a, beta_b):
+    """(to_a, to_b, absorb) as Fractions of a uniform draw among the heads of
+    elig_a coins of probability beta_a and elig_b of beta_b: the float betas
+    taken exactly, then every (A heads, B heads) outcome summed. The pmfs are
+    integers over a common power of two and the shares i / (i + j) integers
+    over lcm(1..elig_a + elig_b), so only the final Fractions reduce."""
 
     def pmf(m, beta):
-        beta = Fraction(beta)
-        return [math.comb(m, i) * beta ** i * (1 - beta) ** (m - i) for i in range(m + 1)]
+        num, den = Fraction(beta).as_integer_ratio()
+        return [math.comb(m, i) * num ** i * (den - num) ** (m - i) for i in range(m + 1)], den ** m
 
-    pa, pb = pmf(elig_a, chain.beta_a(q, leader)), pmf(elig_b, chain.beta_b(q, leader))
-    to_a = sum(pa[i] * pb[j] * Fraction(i, i + j)
-               for i in range(1, elig_a + 1) for j in range(elig_b + 1))
-    to_b = sum(pa[i] * pb[j] * Fraction(j, i + j)
-               for i in range(elig_a + 1) for j in range(1, elig_b + 1))
-    return to_a, to_b, pa[0] * pb[0]
+    (pa, den_a), (pb, den_b) = pmf(elig_a, beta_a), pmf(elig_b, beta_b)
+    lcm = math.lcm(*range(1, elig_a + elig_b + 1))
+    to_a = sum(pb[j] * sum(pa[i] * i * (lcm // (i + j)) for i in range(1, elig_a + 1))
+               for j in range(elig_b + 1))
+    to_b = sum(pa[i] * sum(pb[j] * j * (lcm // (i + j)) for j in range(1, elig_b + 1))
+               for i in range(elig_a + 1))
+    den = den_a * den_b
+    return Fraction(to_a, lcm * den), Fraction(to_b, lcm * den), Fraction(pa[0] * pb[0], den)
+
+
+def closed_form_absorb(elig_a, elig_b, beta_a, beta_b):
+    """(1 - beta_a)^elig_a (1 - beta_b)^elig_b, each factor exp(elig log1p(-beta))
+    and 1 for a group with no eligible coin."""
+    factors = [np.exp(elig * np.log1p(-beta)) if elig and beta < 1.0 else float(elig == 0)
+               for elig, beta in ((elig_a, beta_a), (elig_b, beta_b))]
+    return factors[0] * factors[1]
+
+
+LOTTERY_BETAS = [0.0, 1.0, 1e-300, SUBNORMAL, 5e-324, 1e-12, 1.0 - 1e-12, 0.02, 0.3, 0.77]
+
+
+@pytest.mark.parametrize("tie_rule", ["uniform", "single_ticket"])
+@pytest.mark.parametrize("k_a, k_b", [(49, 0), (45, 4), (25, 24), (10, 3), (1, 49), (0, 49)])
+def test_row_table_matches_the_exact_lottery(k_a, k_b, tie_rule):
+    # the opening row: nobody leads, so each group's eligible count is its
+    # size, except that single_ticket gives group A one ticket
+    pairs = np.array([(a, b) for a in LOTTERY_BETAS for b in LOTTERY_BETAS]).T
+    chain = TwoGroupChain(k_a, k_b, beta_a=lambda q, leader: pairs[0][q],
+                          beta_b=lambda q, leader: pairs[1][q], fee_a=1.0, fee_b=1.0,
+                          tie_rule=tie_rule)
+    table = chain.row_table(None, 0, pairs.shape[1])
+    elig_a = 1 if tie_rule == "single_ticket" else k_a
+    for r, (beta_a, beta_b) in enumerate(pairs.T):
+        to_a, to_b, _ = exact_uniform_row(elig_a, k_b, beta_a, beta_b)
+        for got, want in ((table.to_a[r], to_a), (table.to_b[r], to_b)):
+            # a subnormal entry has fewer digits: allow two roundings on its grid
+            error = float(abs(Fraction(got) - want))
+            assert error <= 1e-14 * float(want) + 2 * math.ulp(0.0), (beta_a, beta_b, got)
+        assert table.absorb[r] == closed_form_absorb(elig_a, k_b, beta_a, beta_b)
 
 
 @pytest.mark.parametrize("k", [40, 44, 46, 47, 48])
@@ -337,9 +391,15 @@ def test_closed_form_keeps_its_digits_when_both_groups_rarely_stop(k):
     # same float betas (a rational solve of the float rows would inherit
     # their rounding).
     chain = mixed_estimates_chain(AuctionSpec.fixed_price(100, 1, 0, 50), k)
-    (aa, ab, a_end), (ba, bb, b_end) = (exact_uniform_row(chain, lead, 2) for lead in "AB")
+
+    def exact_row(leader, q):
+        return exact_uniform_row(chain.group_a_size - (leader == "A"),
+                                 chain.group_b_size - (leader == "B"),
+                                 chain.beta_a(q, leader), chain.beta_b(q, leader))
+
+    (aa, ab, a_end), (ba, bb, b_end) = (exact_row(lead, 2) for lead in "AB")
     det = (1 - aa) * (1 - bb) - ab * ba
-    open_a, open_b, _ = exact_uniform_row(chain, None, 1)
+    open_a, open_b, _ = exact_row(None, 1)
     start_a, start_b = open_a / (open_a + open_b), open_b / (open_a + open_b)
     bids_a = (start_a * (1 - bb) + start_b * ba) / det
     bids_b = (start_a * ab + start_b * (1 - aa)) / det

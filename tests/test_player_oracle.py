@@ -8,7 +8,7 @@ transient kernel then gives the bids and wins of every player. Each player's
 bid probability is the chain's own beta_a or beta_b called with the leader's
 group, so models whose betas depend on who leads (bidfee, collusion) are
 covered too. The lottery is written out here: nothing reads the engine's
-binomial pmfs, share grids or lottery rows.
+Gauss-Legendre nodes or lottery rows.
 """
 
 import itertools
