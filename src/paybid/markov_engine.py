@@ -447,7 +447,7 @@ def evolve_recurrence(
     # the most steps to take; the first is taken whatever max_steps says
     limit = max(1, max_steps if horizon is None else min(horizon, max_steps))
     block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
-    blocks = []  # [p_a, p_b, end_a, end_b] by step, one array per block
+    fields = [[], [], [], []]  # p_a, p_b, end_a, end_b by step, one array per block
     notes = ()
     max_err = 0.0
     ended = 0.0
@@ -458,17 +458,18 @@ def evolve_recurrence(
             prods = _prefix_products(rows[:, :2])
         n = min(block, limit - t + 1)
         after = occupancy[0] * prods[0, :, :n] + occupancy[1] * prods[1, :, :n]
-        history = np.empty((4, n))
-        history[:2, 0] = occupancy
-        history[:2, 1:] = after[:, :-1]
-        np.multiply(history[:2], rows[:, 2, :n], out=history[2:])
-        absorbed = np.cumsum(np.concatenate(([ended], history[2] + history[3])))[1:]
+        p_a, p_b = np.empty(n), np.empty(n)
+        p_a[0], p_b[0] = occupancy
+        p_a[1:], p_b[1:] = after[:, :-1]
+        end_a, end_b = p_a * rows[0, 2, :n], p_b * rows[1, 2, :n]
+        absorbed = np.cumsum(np.concatenate(([ended], end_a + end_b)))[1:]
         live = after[0] + after[1]
         below = np.flatnonzero(live < residual_tol)
         if below.size:
             n = int(below[0]) + 1
         max_err = max(max_err, float(np.abs(absorbed[:n] + live[:n] - 1.0).max()))
-        blocks.append(history[:, :n])
+        for field, block_field in zip(fields, (p_a, p_b, end_a, end_b)):
+            field.append(block_field[:n])
         ended, occupancy, residual = absorbed[n - 1], after[:, n - 1], float(live[n - 1])
         last = t + n - 1
         if below.size or last == horizon:
@@ -480,7 +481,13 @@ def evolve_recurrence(
             break
     if max_err > 1e-9:
         raise ArithmeticError(f"occupancy mass leaked by {max_err:.3e}, chain rows are inconsistent")
-    p_a, p_b, end_a, end_b = np.concatenate(blocks, axis=1)
+    # Each field's blocks are released once it is joined, so the history is
+    # never held twice; steps are built after every block is gone.
+    joined = []
+    for blocks in fields:
+        joined.append(np.concatenate(blocks))
+        blocks.clear()
+    p_a, p_b, end_a, end_b = joined
     return OccupancySeries(
         steps=np.arange(1, last + 1),
         p_a=p_a,

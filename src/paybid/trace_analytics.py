@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import itertools
 import logging
 import math
 from dataclasses import dataclass, fields
@@ -57,6 +58,25 @@ IN_THE_BLACK = "in_the_black"
 IN_THE_RED = "in_the_red"
 
 _OUTCOME_FIELDS = 17
+
+_SHARED_INTS_MAX = 1 << 16
+
+
+class _SharedInts(dict):
+    """value -> the one int object shared for it, as intern shares strings:
+    bid numbers, cent prices and bid counts repeat across rows and traces.
+    _SHARED_INTS[value] finds a shared value in C, with no Python call; a
+    value missing once the dict holds _SHARED_INTS_MAX of them is returned
+    unshared. Fields whose values are nearly all distinct (ids, retail) are
+    not passed through it, so they do not fill it."""
+
+    def __missing__(self, value: int) -> int:
+        if len(self) < _SHARED_INTS_MAX:
+            self[value] = value
+        return value
+
+
+_SHARED_INTS = _SharedInts()
 
 
 def _dollars_to_cents(text: str, what: str) -> int:
@@ -144,8 +164,9 @@ _new_record = _slot_constructor(AuctionOutcomeRecord)
 def _record_from_fields(row: Sequence[str]) -> AuctionOutcomeRecord:
     """One record, its fields converted in column order so a row with
     several faults is diagnosed by its first. Item, description and winner
-    repeat across rows and are interned; the end times are nearly all
-    distinct and are not."""
+    repeat across rows and are interned, the prices and bid counts shared;
+    the ids, retail prices and end times are nearly all distinct and are
+    not."""
     if len(row) != _OUTCOME_FIELDS:
         raise ValueError(f"expected {_OUTCOME_FIELDS} fields, got {len(row)}")
     return _new_record(
@@ -154,13 +175,13 @@ def _record_from_fields(row: Sequence[str]) -> AuctionOutcomeRecord:
         intern(row[2]),
         intern(row[3]),
         _dollars_to_cents(row[4], "retail"),
-        _dollars_to_cents(row[5], "price"),
-        _dollars_to_cents(row[6], "finalprice"),
+        _SHARED_INTS[_dollars_to_cents(row[5], "price")],
+        _SHARED_INTS[_dollars_to_cents(row[6], "finalprice")],
         int(row[7]),
         int(row[8]),
         intern(row[9]),
-        int(row[10]),
-        int(row[11]),
+        _SHARED_INTS[int(row[10])],
+        _SHARED_INTS[int(row[11])],
         row[12],
         _flag(row[13], "flg_click_only"),
         _flag(row[14], "flg_beginnerauction"),
@@ -219,10 +240,12 @@ _new_bid = _slot_constructor(BidEvent)
 
 def _bid_fields(piece: str, i: int) -> tuple:
     """One bh tuple 'number:user:type:price:yourbid:' as its typed fields,
-    the username interned. i is the tuple's index, for the diagnostic."""
+    the username interned and the bid number and price shared. i is the
+    tuple's index, for the diagnostic."""
     try:
         number, username, bidtype, price, yourbid, end = piece.split(":")
-        parsed = (int(number), intern(username), int(bidtype), int(price), int(yourbid))
+        parsed = (_SHARED_INTS[int(number)], intern(username), int(bidtype),
+                  _SHARED_INTS[int(price)], int(yourbid))
     except ValueError as exc:
         raise ValueError(f"malformed bid tuple {i} in bh field: {piece!r}") from exc
     if end:
@@ -388,6 +411,17 @@ def reconstruct_bids(probes: Sequence[ProbeLine]):
 # Metrics on outcome tables
 
 
+def _bids_estimate(price_cents: int, increment_cents: int) -> int:
+    """price / increment rounded half to even, in exact integers: a float
+    quotient loses the last digits of a price past 2**53 cents. An int like
+    round()'s, whatever numbers a caller's record holds, so that no float
+    enters the shared ints."""
+    bids, rest = divmod(price_cents, increment_cents)
+    if 2 * rest > increment_cents or (2 * rest == increment_cents and bids % 2):
+        bids += 1
+    return int(bids)
+
+
 @dataclass(frozen=True, slots=True)
 class AuctionMargin:
     auction_id: int
@@ -437,7 +471,7 @@ def profit_margin(records: Sequence[AuctionOutcomeRecord],
             errors.append(f"auction {r.auction_id}: nonpositive retail price")
             continue
         fee = r.bidfee_cents if assumed_bidfee_cents is None else assumed_bidfee_cents
-        bids = round(r.price_cents / r.bidincrement_cents)
+        bids = _SHARED_INTS[_bids_estimate(r.price_cents, r.bidincrement_cents)]
         profit = bids * fee + r.finalprice_cents - r.retail_cents
         per_auction.append(AuctionMargin(
             auction_id=r.auction_id,
@@ -534,7 +568,7 @@ def active_bidder_fraction(
     return samples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BidderAuctionStats:
     """One bidder's activity within one auction.
 
@@ -553,6 +587,14 @@ class BidderAuctionStats:
     spend_cents: int
     outcome_classes: frozenset
     all_bids_untimed: bool
+
+
+# the outcome classes of each (won, in the black, in the red), one frozenset
+# per combination shared by every bidder
+_OUTCOME_CLASSES = {
+    flags: frozenset(c for c, on in zip((WON_AUCTION, IN_THE_BLACK, IN_THE_RED), flags) if on)
+    for flags in itertools.product((False, True), repeat=3)
+}
 
 
 def bidder_stats(
@@ -599,14 +641,8 @@ def bidder_stats(
             aggression = nbids / avg if avg > 0 else math.inf
         spend = nbids * assumed_bidfee_cents
         won = user == winner
-        classes = set()
-        if won:
-            classes.add(WON_AUCTION)
-            if spend + finalprice_cents < retail_cents:
-                classes.add(IN_THE_BLACK)
+        in_the_black = won and spend + finalprice_cents < retail_cents
         net_loss = spend + (finalprice_cents if won else 0) - (retail_cents if won else 0)
-        if net_loss > 0:
-            classes.add(IN_THE_RED)
         out.append(BidderAuctionStats(
             username=user,
             bids=nbids,
@@ -614,7 +650,7 @@ def bidder_stats(
             avg_response_time=avg,
             aggression=aggression,
             spend_cents=spend,
-            outcome_classes=frozenset(classes),
+            outcome_classes=_OUTCOME_CLASSES[won, in_the_black, net_loss > 0],
             all_bids_untimed=timed == 0,
         ))
     return out
@@ -762,7 +798,7 @@ def aggression_table(
         if record is None or record.retail_cents <= 0 or record.bidincrement_cents <= 0:
             continue
         fee = record.bidfee_cents if assumed_bidfee_cents is None else assumed_bidfee_cents
-        bids = round(record.price_cents / record.bidincrement_cents)
+        bids = _bids_estimate(record.price_cents, record.bidincrement_cents)
         revenue = bids * fee + record.finalprice_cents
         hot = sum(1 for s in stats if s.aggression >= threshold)
         buckets[min(hot, 2)].append(revenue / record.retail_cents)

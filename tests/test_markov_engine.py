@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -288,6 +289,20 @@ def test_recurrence_at_the_step_cap_conserves_mass_and_says_so():
     assert series.residual > 0.99
     assert series.notes == (f"recurrence stopped at max_steps=10000000 with residual "
                             f"{series.residual:.3e}",)
+
+
+def test_recurrence_holds_a_capped_history_once():
+    # joining one array per block into the fields must not keep a second copy
+    chain = mixed_estimates_chain(AuctionSpec.fixed_price(100, 1, 0, 50), 44)
+    tracemalloc.start()
+    try:
+        series = evolve_recurrence(chain, max_steps=1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    history = sum(a.nbytes for a in (series.p_a, series.p_b, series.end_a, series.end_b))
+    assert len(series.steps) == 1_000_000
+    assert peak <= 1.5 * history
 
 
 def test_first_bid_distribution_conditioning():

@@ -1,13 +1,15 @@
 """Outcome and probe parsing plus the empirical metrics, on synthetic data."""
 
 import math
+import pickle
 import tracemalloc
-from dataclasses import FrozenInstanceError, astuple
+from dataclasses import FrozenInstanceError, astuple, replace
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, InvalidOperation
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from paybid import trace_analytics
 from paybid.trace_analytics import (
     IN_THE_BLACK,
     IN_THE_RED,
@@ -208,13 +210,28 @@ def test_parsed_record_is_the_class_own_frozen_record():
         rec.winner = "x"
 
 
-def test_equal_item_description_and_winner_share_one_string():
-    rows = [outcome_row(aid, "tv-" + "32", "TV " + "32", 100, 0.12, 0.12, 6, 60,
-                        "".join(["bid", "der7"]), 3) for aid in (1, 2, 3)]
+@pytest.fixture
+def shared_ints(monkeypatch):
+    """An empty int cache for this test, so what earlier tests parsed does
+    not count against its bound."""
+    cache = trace_analytics._SharedInts()
+    monkeypatch.setattr(trace_analytics, "_SHARED_INTS", cache)
+    return cache
+
+
+def test_equal_item_description_and_winner_share_one_string(shared_ints):
+    # ints past 256, which CPython would otherwise build afresh per row
+    rows = [outcome_row(aid, "tv-" + "32", "TV " + "32", 100, 31.26, 31.26, 6, 60,
+                        "".join(["bid", "der7"]), 1003, free=300) for aid in (1, 2, 3)]
     recs = parse_outcome_rows(rows)
-    for name in ("item", "description", "winner"):
+    for name in ("item", "description", "winner", "price_cents", "finalprice_cents",
+                 "placedbids", "freebids"):
         first = getattr(recs[0], name)
         assert all(getattr(r, name) is first for r in recs[1:]), name
+    assert recs[0].finalprice_cents is recs[0].price_cents
+    first, *rest = profit_margin(recs).per_auction
+    assert first.bids_estimate == 521
+    assert all(m.bids_estimate is first.bids_estimate for m in rest)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +376,32 @@ def test_one_user_bids_share_one_username_string():
         assert by_user.setdefault(b.username, b.username) is b.username
 
 
+def test_bid_numbers_and_prices_are_shared_across_files(shared_ints):
+    first, = parse_trace_file(["10\tct=1|bh=1001:a:1:6006:0:#|lui=0"])
+    second, = parse_trace_file(["20\tct=1|bh=1001:b:1:6006:0:#|lui=0"])
+    a, b = first.bids[0], second.bids[0]
+    assert (a.bidnumber, a.price_cents) == (1001, 6006)
+    assert a.bidnumber is b.bidnumber and a.price_cents is b.price_cents
+
+
+def test_shared_int_cache_stops_at_its_bound(shared_ints, monkeypatch):
+    monkeypatch.setattr(trace_analytics, "_SHARED_INTS_MAX", 4)
+    runs = []
+    for start in (1001, 1001, 2001):
+        lines = [f"{t}\tct=1|bh={n}:u:1:{6 * n}:0:#|lui=0"
+                 for t, n in enumerate(range(start, start + 5))]
+        runs.append(parse_trace_file(lines))
+        assert len(shared_ints) <= 4
+    for run, start in zip(runs, (1001, 1001, 2001)):
+        assert [(p.bids[0].bidnumber, p.bids[0].price_cents) for p in run] == [
+            (n, 6 * n) for n in range(start, start + 5)]
+    # the first two values of the first file are cached and shared, later ones
+    # are equal but their own objects
+    assert set(shared_ints) == {1001, 6006, 1002, 6012}
+    assert runs[0][1].bids[0].price_cents is runs[1][1].bids[0].price_cents
+    assert runs[0][2].bids[0].bidnumber is not runs[1][2].bids[0].bidnumber
+
+
 # ---------------------------------------------------------------------------
 # bid stream reconstruction
 
@@ -424,6 +467,29 @@ def test_margin_exclusions_and_aggregate():
 def test_margin_without_fee_assumption():
     report = profit_margin(parse_outcome_rows([EXAMPLE_ROW]), assumed_bidfee_cents=0)
     assert report.per_auction[0].profit_cents == 3126 - 18000
+
+
+@pytest.mark.parametrize("price, increment, bids", [
+    ("90071992547409.93", 1, 9_007_199_254_740_993),  # past 2**53: a float quotient is off by one
+    ("0.05", 2, 2), ("0.07", 2, 4), ("0.03", 2, 2),  # halves round to even
+    ("0.07", 3, 2), ("0.08", 3, 3),
+])
+def test_bid_estimate_is_exact(price, increment, bids):
+    rows = [outcome_row(1, "tv", "TV", 100, price, price, increment, 60, "w", 5)]
+    records = parse_outcome_rows(rows)
+    final = records[0].finalprice_cents
+    entry, = profit_margin(records).per_auction
+    assert entry.bids_estimate == bids
+    assert entry.profit_cents == bids * 60 + final - 10000
+    table = aggression_table({1: []}, records)
+    assert table[0]["mean_revenue_pct_of_retail"] == 100.0 * ((bids * 60 + final) / 10000)
+
+
+def test_bid_estimate_is_an_int_whatever_the_record_holds(shared_ints):
+    record, = parse_outcome_rows([outcome_row(1, "tv", "TV", 100, 31.26, 31.26, 6, 60, "w", 5)])
+    entry, = profit_margin([replace(record, price_cents=3126.0)]).per_auction
+    assert entry.bids_estimate == 521 and type(entry.bids_estimate) is int
+    assert all(type(v) is int for v in shared_ints)
 
 
 def test_margin_zero_increment_on_ascending_record_is_an_error():
@@ -594,6 +660,25 @@ def test_outcome_classes():
                                                   winner="winner")}
     assert IN_THE_RED in pricey["winner"].outcome_classes
     assert WON_AUCTION in pricey["winner"].outcome_classes
+
+
+def test_equal_outcome_classes_are_one_object():
+    bids = [bid(i + 1, "winner" if i % 2 else "loser" + str(i % 4), 1.0 * i) for i in range(12)]
+    one = bidder_stats(bids, 10000, 60, "winner")
+    two = bidder_stats(bids, 20000, 60, "winner")
+    classes = [s.outcome_classes for s in one + two]
+    assert classes[0] == {IN_THE_RED} and len(set(classes)) < len(classes)
+    for c in classes:
+        assert next(d for d in classes if d == c) is c
+
+
+def test_bidder_stats_pickle_replace_and_compare():
+    bids = [bid(i + 1, "winner" if i % 2 else "loser", 1.0 * i) for i in range(6)]
+    stats = bidder_stats(bids, 10000, 60, "winner")[0]
+    assert not hasattr(stats, "__dict__")
+    assert pickle.loads(pickle.dumps(stats)) == stats
+    assert replace(stats, bids=stats.bids) == stats
+    assert replace(stats, bids=stats.bids + 1) != stats
 
 
 def test_bidder_stats_require_timestamps():
