@@ -8,14 +8,23 @@ expressed as a TwoGroupChain (solved by the engine exactly) and, where a
 closed form exists, also as an explicit formula so the two can cross-check
 each other.
 
-Perception asymmetries follow one convention throughout: a player who believes
-the world is a symmetric auction with population m best-responds with the
-symmetric solution of that perceived game,
+Every bid probability here comes from the indifference condition
+fee = pot (1 - mu), pot being the amount at stake for the bid in question, so
+a group's no-bid probability is a power of w = fee / pot. One expression
+gives them all, in log space:
 
-    beta = 1 - (fee / pot)^(1/(m-1)),    opening bid exponent 1/m,
+    beta = -expm1(eta),    eta = min(e log w + d, 0),
+    log w = -log1p((pot - fee) / fee),
 
-where pot is the amount at stake for the bid in question. What actually
-happens is then governed by the true population and the true tie lottery.
+with an exponent e and an offset d for each leader (opening bid, A leads,
+B leads), and beta = 0 where the pot is at or below the fee. pot - fee is
+taken in cents, so w keeps its digits near 0 and near 1. Perception
+asymmetries follow one convention throughout: a player who believes the
+world is a symmetric auction with population m best-responds with the
+symmetric solution of that perceived game, e = (1/m, 1/(m-1), 1/(m-1)) and
+d = 0, that is beta = 1 - (fee / pot)^(1/(m-1)) after the opening bid. What
+actually happens is then governed by the true population and the true tie
+lottery.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core_model import AuctionSpec, beta_from_mu, max_bids, symmetric_beta
+from .core_model import AuctionSpec, max_bids, symmetric_beta
 from .markov_engine import _MAX_STEPS, _ROW_BLOCK, BetaFn, TwoGroupChain
 
 __all__ = [
@@ -60,19 +69,6 @@ __all__ = [
 ]
 
 
-def _first_bid_scale(beta_later: float, perceived_n: int) -> float:
-    """Opening-bid probability implied by the later-bid probability.
-
-    Both solve the same indifference condition, only the exponent changes:
-    1 - beta_first = (1 - beta_later)^((m-1)/m) for perceived population m.
-    """
-    if beta_later <= 0.0:
-        return 0.0
-    if beta_later >= 1.0:
-        return 1.0
-    return -math.expm1(math.log1p(-beta_later) * (perceived_n - 1) / perceived_n)
-
-
 # ---------------------------------------------------------------------------
 # Generic perceived-symmetric-world builder
 
@@ -102,39 +98,58 @@ class GroupProfile:
             raise ValueError("perceived population must be at least 2")
 
 
-def _resolve(profile: GroupProfile, spec: AuctionSpec) -> tuple[float, float, int]:
-    fee = spec.fee if profile.fee is None else profile.fee
-    value = spec.value if profile.value is None else profile.value
-    perceived = spec.population if profile.perceived_population is None else profile.perceived_population
-    return fee, value, perceived
+_LEADERS = {None: 0, "A": 1, "B": 2}  # a group's parameters come in this order
 
 
-def _betas_from_mus(mu, eligible: int):
-    """beta_from_mu elementwise over mu in [0, 1): -expm1(log1p(-mu) / eligible)."""
-    return -np.expm1(np.log1p(-mu) / eligible)
+def _bid_probs(excess, exponent, offset=None):
+    """The module's bid probability, elementwise over numpy arrays or
+    scalars: -expm1(eta) with eta = min(exponent log w + offset, 0) and
+    log w = -log1p(excess), where excess = (pot - fee) / fee, and 0 where
+    excess is not positive (a pot at or below the fee). Without an offset
+    eta is never positive and such a pot gives log w = 0, so the cap and the
+    mask change nothing and are left out."""
+    eta = np.log1p(np.maximum(excess, 0.0)) * -exponent
+    if offset is not None:
+        eta = np.where(excess > 0.0, np.minimum(eta + offset, 0.0), 0.0)
+    return 0.0 - np.expm1(eta)  # 0.0 - x is never -0.0
 
 
-def _perceived_beta(spec: AuctionSpec, fee: float, value: float, perceived: int) -> BetaFn:
-    """Bid probability of a player who pays `fee`, values the item at
-    `value` and best-responds to a symmetric world of `perceived` players:
-    the symmetric solution for the pot at stake, 0 once the fee covers it.
+def _bid_probability(spec: AuctionSpec, fee_cents, value_cents, exponents,
+                     offsets=None) -> BetaFn:
+    """Bid probability of a group that pays fee_cents a bid and values the
+    item at value_cents, with an exponent (and, if given, an offset) per
+    leader in _LEADERS order.
 
-    At a fixed price the pot is the same at every bid index, so the beta
-    depends on the leader only. In an ascending auction it is one numpy
-    expression over the bid indices: a pot at or below the fee is raised to
-    the fee, which gives mu = 0 and beta = 0.
+    The pot is the value less the fixed price, or less the price the
+    previous bid left in an ascending auction. At a fixed price it does not
+    depend on q, so the three probabilities come out of one evaluation; in
+    an ascending auction the expression runs over the bid indices.
     """
     if not spec.is_ascending:
-        pot = value - spec.price
-        first, later = (beta_from_mu(1.0 - fee / pot, m) if pot > fee else 0.0
-                        for m in (perceived, perceived - 1))
-        return lambda q, leader: first if leader is None else later
+        betas = _bid_probs((value_cents - spec.price_cents - fee_cents) / fee_cents,
+                           np.array(exponents), offsets and np.array(offsets))
+        return lambda q, leader: betas[_LEADERS[leader]]
 
     def beta(q, leader: Optional[str]):
-        mu = 1.0 - fee / np.maximum(value - spec.increment * (q - 1), fee)
-        return _betas_from_mus(mu, perceived if leader is None else perceived - 1)
+        at = _LEADERS[leader]
+        excess = (value_cents - fee_cents - spec.increment_cents * (q - 1)) / fee_cents
+        return _bid_probs(excess, exponents[at], offsets and offsets[at])
 
     return beta
+
+
+def _symmetric_world(m: int) -> tuple:
+    """Exponents of a symmetric world of m players: all m may place the
+    opening bid, m - 1 (everyone but the leader) every later one."""
+    return 1 / m, 1 / (m - 1), 1 / (m - 1)
+
+
+def _chain(spec: AuctionSpec, **fields) -> TwoGroupChain:
+    """A chain on the spec's price path: increment, price and
+    time_homogeneous come from the spec, every other field from the caller."""
+    return TwoGroupChain(increment=spec.increment if spec.is_ascending else 0.0,
+                         price=0.0 if spec.is_ascending else spec.price,
+                         time_homogeneous=not spec.is_ascending, **fields)
 
 
 def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile,
@@ -147,34 +162,23 @@ def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile,
     """
     if profile_a.size + profile_b.size != spec.population:
         raise ValueError("group sizes must add up to the auction population")
-    price = 0.0 if spec.is_ascending else spec.price
-    increment = spec.increment if spec.is_ascending else 0.0
-    notes = []
-    fee_a, value_a, perceived_a = _resolve(profile_a, spec)
-    fee_b, value_b, perceived_b = _resolve(profile_b, spec)
-    for name, fee, value in (("A", fee_a, value_a), ("B", fee_b, value_b)):
-        pot0 = value - (0.0 if spec.is_ascending else price)
-        if pot0 <= fee:
+    fees, betas, notes = [], [], []
+    for name, profile in (("A", profile_a), ("B", profile_b)):
+        fee_cents = spec.fee_cents if profile.fee is None else 100 * profile.fee
+        value_cents = spec.value_cents if profile.value is None else 100 * profile.value
+        if value_cents - (0 if spec.is_ascending else spec.price_cents) <= fee_cents:
             notes.append(f"degenerate: group {name} never bids (fee covers the whole pot)")
+        fees.append(spec.fee if profile.fee is None else profile.fee)
+        perceived = profile.perceived_population or spec.population
+        betas.append(_bid_probability(spec, fee_cents, value_cents, _symmetric_world(perceived)))
     horizon = None
     if spec.is_ascending:
         # Bids beyond index Q+1 would stake less than the fee even for the
         # most optimistic perception, since the pot does not depend on beliefs.
         horizon = int(max_bids(spec)) + 1
-    return TwoGroupChain(
-        group_a_size=profile_a.size,
-        group_b_size=profile_b.size,
-        beta_a=_perceived_beta(spec, fee_a, value_a, perceived_a),
-        beta_b=_perceived_beta(spec, fee_b, value_b, perceived_b),
-        fee_a=fee_a,
-        fee_b=fee_b,
-        increment=increment,
-        price=price,
-        tie_rule="uniform",
-        horizon=horizon,
-        time_homogeneous=not spec.is_ascending,
-        notes=tuple(notes),
-    )
+    return _chain(spec, group_a_size=profile_a.size, group_b_size=profile_b.size,
+                  beta_a=betas[0], beta_b=betas[1], fee_a=fees[0], fee_b=fees[1],
+                  horizon=horizon, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +259,13 @@ def ascending_underestimate_revenue(spec: AuctionSpec, k: int) -> float:
         raise ValueError("ascending auctions only")
     _check_bias(spec, k)
     n = spec.population
+    # 1 - mu_q = (fee/pot)^((n-1)/(n-k-1)) for q = 2..Q+1: each of the n - 1
+    # eligible players stays out with the (n-k)-player solution's probability
     exponent = (n - 1) / (n - k - 1)
-    # mu_t for t = 2..Q+1; a pot at or below the fee is raised to it, so mu = 0
-    pots = spec.value - spec.increment * np.arange(1, int(max_bids(spec)) + 1)
-    mus = 1.0 - (spec.fee / np.maximum(pots, spec.fee)) ** exponent
+    mus = _bid_probability(spec, spec.fee_cents, spec.value_cents, (exponent,) * 3)(
+        np.arange(2, int(max_bids(spec)) + 2), "B")
     # the running products, and their sum term by term from t = 1 on
-    products = np.cumprod(np.maximum(mus, 0.0))
+    products = np.cumprod(mus)
     total = np.cumsum(np.concatenate(([1.0], products)))[-1]
     return (spec.fee + spec.increment) * float(total)
 
@@ -384,12 +389,19 @@ def bidfee_asymmetry_chain(spec: AuctionSpec, k: int, fee_a: float,
     which group currently leads. In equilibrium every continuation happens
     with probability 1 - fee_a/(v-p) regardless of the leader, which makes
     the expected auction length (v-p)/fee_a, independent of fee_b.
+
+    With w = fee_b/(v-p) and r = fee_a/fee_b, A's no-bid probability is
+    r^(1/k) w^(1/(n-1)) when B leads and r^(1/(k-1)) w^(1/(n-1)) when A
+    leads (a lone A never outbids itself), and the opening bid raises the
+    B-led one to the power (n-1)/n: exponents (1/n, 1/(n-1), 1/(n-1)) and
+    offsets ((n-1) log r / (n k), log r / (k-1), log r / k).
     """
     if spec.is_ascending:
         raise ValueError("fixed-price auctions only")
     n = spec.population
     if not (1 <= k <= n - 1):
         raise ValueError(f"group size k must satisfy 1 <= k <= {n - 1}")
+    fee_b_cents = spec.fee_cents if fee_b is None else 100 * fee_b
     if fee_b is None:
         fee_b = spec.fee
     if fee_a <= 0 or fee_b <= 0:
@@ -397,40 +409,23 @@ def bidfee_asymmetry_chain(spec: AuctionSpec, k: int, fee_a: float,
     pot = spec.value - spec.price
     if fee_b >= pot or fee_a >= pot:
         raise ValueError("fees must stay below the amount at stake")
-    ratio = fee_a / fee_b
-    w = fee_b / pot
     notes = []
     if fee_a > fee_b:
         notes.append("corner equilibrium: group A pays the higher fee and its "
                      "probabilities are clamped at 0 where the formula turns negative")
-
-    raw_a_leads = 1.0 - ratio ** (1.0 / (k - 1)) * w ** (1.0 / (n - 1)) if k >= 2 else 0.0
-    raw_b_leads = 1.0 - ratio ** (1.0 / k) * w ** (1.0 / (n - 1))
-    beta_a_leads = max(raw_a_leads, 0.0)
-    beta_b_leads = max(raw_b_leads, 0.0)
-    beta_a_first = _first_bid_scale(beta_b_leads, n)
-    beta_b_later = 1.0 - w ** (1.0 / (n - 1))
-    beta_b_first = _first_bid_scale(beta_b_later, n)
-
-    def beta_a(q: int, leader: Optional[str]) -> float:
-        if leader is None:
-            return beta_a_first
-        return beta_a_leads if leader == "A" else beta_b_leads
-
-    def beta_b(q: int, leader: Optional[str]) -> float:
-        return beta_b_first if leader is None else beta_b_later
-
-    return TwoGroupChain(
+    log_r = math.log1p((100 * fee_a - fee_b_cents) / fee_b_cents)
+    # a lone A never outbids itself: exponent and offset 0 when A leads
+    e_a_leads, d_a_leads = (1 / (n - 1), log_r / (k - 1)) if k >= 2 else (0.0, 0.0)
+    return _chain(
+        spec,
         group_a_size=k,
         group_b_size=n - k,
-        beta_a=beta_a,
-        beta_b=beta_b,
+        beta_a=_bid_probability(spec, fee_b_cents, spec.value_cents,
+                                (1 / n, e_a_leads, 1 / (n - 1)),
+                                ((n - 1) * log_r / (n * k), d_a_leads, log_r / k)),
+        beta_b=_bid_probability(spec, fee_b_cents, spec.value_cents, _symmetric_world(n)),
         fee_a=fee_a,
         fee_b=fee_b,
-        increment=0.0,
-        price=spec.price,
-        tie_rule="uniform",
-        time_homogeneous=True,
         notes=tuple(notes),
     )
 
@@ -486,42 +481,18 @@ def collusion_chain(spec: AuctionSpec, k: int, coordination: str = "many_bidders
     n = spec.population
     if not (2 <= k <= n - 1):
         raise ValueError(f"ring size k must satisfy 2 <= k <= {n - 1}")
-    w = spec.fee / (spec.value - spec.price)
-    beta_later = 1.0 - w ** (1.0 / (n - 1))
-    beta_first = _first_bid_scale(beta_later, n)
-
-    def beta_b(q: int, leader: Optional[str]) -> float:
-        return beta_first if leader is None else beta_later
-
-    if coordination == "many_bidders":
-        tie_rule = "uniform"
-
-        def beta_a(q: int, leader: Optional[str]) -> float:
-            if leader is None:
-                return beta_first
-            return 0.0 if leader == "A" else beta_later
-
-    else:
-        tie_rule = "single_ticket"
-        ticket_later = 1.0 - w ** (k / (n - 1.0))
-        ticket_first = 1.0 - w ** (k / float(n))
-
-        def beta_a(q: int, leader: Optional[str]) -> float:
-            if leader is None:
-                return ticket_first
-            return 0.0 if leader == "A" else ticket_later
-
-    return TwoGroupChain(
+    many = coordination == "many_bidders"
+    # a member never outbids a fellow member: exponent 0 when A leads
+    ring = (1 / n, 0.0, 1 / (n - 1)) if many else (k / n, 0.0, k / (n - 1))
+    return _chain(
+        spec,
         group_a_size=k,
         group_b_size=n - k,
-        beta_a=beta_a,
-        beta_b=beta_b,
+        beta_a=_bid_probability(spec, spec.fee_cents, spec.value_cents, ring),
+        beta_b=_bid_probability(spec, spec.fee_cents, spec.value_cents, _symmetric_world(n)),
         fee_a=spec.fee,
         fee_b=spec.fee,
-        increment=0.0,
-        price=spec.price,
-        tie_rule=tie_rule,
-        time_homogeneous=True,
+        tie_rule="uniform" if many else "single_ticket",
     )
 
 
@@ -592,6 +563,8 @@ class ShillPhases(NamedTuple):
 def shill_chain(spec: AuctionSpec, policy: ShillPolicy) -> ShillPhases:
     """Both phases of an entered shill with a positive bid budget.
 
+    The shill is a counted player (_counted_chains) who pays no fee, against
+    n legitimate players who perceive n + identities players while it bids.
     With one identity the shill never outbids itself (a leading group of one
     has no eligible member); with two identities the single_ticket rule lets
     it top its own bid.
@@ -599,28 +572,9 @@ def shill_chain(spec: AuctionSpec, policy: ShillPolicy) -> ShillPhases:
     if policy.bid_budget < 1:
         raise ValueError("a chain needs a shill that bids at least once")
     n = spec.population
-    increment = spec.increment if spec.is_ascending else 0.0
-    price = 0.0 if spec.is_ascending else spec.price
-
-    def phase(perceived: int, shill_bid_prob: float) -> TwoGroupChain:
-        return TwoGroupChain(
-            group_a_size=1,
-            group_b_size=n,
-            beta_a=lambda q, leader: shill_bid_prob,
-            beta_b=_perceived_beta(spec, spec.fee, spec.value, perceived),
-            fee_a=0.0,
-            fee_b=spec.fee,
-            increment=increment,
-            price=price,
-            tie_rule="uniform" if policy.identities == 1 else "single_ticket",
-            time_homogeneous=not spec.is_ascending,
-        )
-
-    return ShillPhases(
-        active=phase(n + policy.identities, 1.0),
-        spent=phase(n, 0.0),
-        bid_budget=policy.bid_budget,
-    )
+    active, spent = _counted_chains(spec, n, n + policy.identities, 0.0,
+                                    "uniform" if policy.identities == 1 else "single_ticket")
+    return ShillPhases(active=active, spent=spent, bid_budget=policy.bid_budget)
 
 
 def shill_profit(spec: AuctionSpec, policy: ShillPolicy) -> ShillOutcome:
@@ -752,42 +706,29 @@ def _committed_bids(spec: AuctionSpec, alpha: float, c, q: int):
 
 
 def _committed_chains(spec: AuctionSpec) -> tuple[TwoGroupChain, TwoGroupChain]:
-    """The committed player's bidding and silent chains.
+    """The committed player's bidding and silent chains: group A is the
+    committed player, group B the n - 1 regulars on the symmetric n-player
+    solution, which in an ascending auction is 0 past the last rational bid."""
+    return _counted_chains(spec, spec.population - 1, spec.population, spec.fee, "uniform")
 
-    Group A is the committed player, who bids with probability one in the
-    first chain and never in the second; group B is the n - 1 regulars on
-    the symmetric n-player solution, which in an ascending auction is 0 past
-    the last rational bid.
+
+def _counted_chains(spec: AuctionSpec, rivals: int, perceived: int, fee_a: float,
+                    tie_rule: str) -> tuple[TwoGroupChain, TwoGroupChain]:
+    """The bidding and silent chains of one counted player, group A, who
+    pays fee_a a bid, against `rivals` players on the spec's fee and value.
+
+    A bids with probability one in the first chain and never in the second.
+    The rivals best-respond to a symmetric world of `perceived` players in
+    the first and of the true population in the second.
     """
-    n = spec.population
-    if spec.is_ascending:
-        def regular_beta(q, leader: Optional[str]):
-            # symmetric_beta in exact cents; past the last rational bid the
-            # amount at stake drops below the fee and is raised to it (mu = 0)
-            at_stake = np.maximum(spec.value_cents - spec.increment_cents * (q - 1),
-                                  spec.fee_cents)
-            return _betas_from_mus(1.0 - spec.fee_cents / at_stake,
-                                   n if leader is None else n - 1)
-    else:
-        first, later = (symmetric_beta(spec, 2, first_bid=first_bid) for first_bid in (True, False))
+    def chain(a_bids: float, world: int) -> TwoGroupChain:
+        return _chain(spec, group_a_size=1, group_b_size=rivals,
+                      beta_a=lambda q, leader: a_bids,
+                      beta_b=_bid_probability(spec, spec.fee_cents, spec.value_cents,
+                                              _symmetric_world(world)),
+                      fee_a=fee_a, fee_b=spec.fee, tie_rule=tie_rule)
 
-        def regular_beta(q, leader: Optional[str]):
-            return first if leader is None else later
-
-    def chain(committed_beta: float) -> TwoGroupChain:
-        return TwoGroupChain(
-            group_a_size=1,
-            group_b_size=spec.population - 1,
-            beta_a=lambda q, leader: committed_beta,
-            beta_b=regular_beta,
-            fee_a=spec.fee,
-            fee_b=spec.fee,
-            increment=spec.increment if spec.is_ascending else 0.0,
-            price=0.0 if spec.is_ascending else spec.price,
-            time_homogeneous=not spec.is_ascending,
-        )
-
-    return chain(1.0), chain(0.0)
+    return chain(1.0, perceived), chain(0.0, spec.population)
 
 
 # ---------------------------------------------------------------------------
@@ -831,50 +772,57 @@ def _counted_occupancy(spec: AuctionSpec, bidding: TwoGroupChain, silent: TwoGro
                        bids: Callable) -> _CountedOccupancy:
     """Solve a counted-player chain: one sweep over the count at a fixed
     price, where rows and predicate ignore the bid index, else bid by bid."""
+    if not spec.is_ascending:
+        return _counted_by_level(bidding, silent, bids)
     # A never holds more bids than the first count at which it passes on
-    # bid 2, since the predicate only shrinks with q; the opening gives it one.
-    # In an ascending auction a lone A under the uniform rule cannot outbid
-    # itself, so each of its bids after the first follows a rival bid, and
-    # rivals stop after bid Q+1: it places at most Q+2 bids.
+    # bid 2, since the predicate only shrinks with q; the opening gives it
+    # one. A lone A under the uniform rule cannot outbid itself, so each of
+    # its bids after the first follows a rival bid, and rivals stop after
+    # bid Q+1: it places at most Q+2 bids.
     cap = math.inf
-    if spec.is_ascending and bidding.group_a_size == 1 and bidding.tie_rule == "uniform":
+    if bidding.group_a_size == 1 and bidding.tie_rule == "uniform":
         cap = int(max_bids(spec)) + 2
     top = next(c for c in itertools.count(1) if c >= cap or not bids(c, 2))
-    if spec.is_ascending:
-        block = min(int(max_bids(spec)) + 1, _ROW_BLOCK)
-        return _counted_by_bid_index(bidding, silent, bids, top, block)
-    return _counted_by_level(bidding, silent, top)
+    block = min(int(max_bids(spec)) + 1, _ROW_BLOCK)
+    return _counted_by_bid_index(bidding, silent, bids, top, block)
 
 
 def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
-                      top: int) -> _CountedOccupancy:
+                      bids: Callable) -> _CountedOccupancy:
     """Fixed-price occupancy as one forward sweep over A's count c.
 
     Level c holds (A leads, c) and (B leads, c), on the bidding chain's rows
-    below top and the silent chain's at top. (A leads, c) is entered only
-    from level c - 1, by A's bid, and (B leads, c) only from (A leads, c), by
-    B rebidding, or from the opening bid at c = 0, so with x the opening
+    while bids(c, 2) holds and on the silent chain's at the first level where
+    it does not, which is the last. (A leads, c) is entered only from level
+    c - 1, by A's bid, and (B leads, c) only from (A leads, c), by B
+    rebidding, or from the opening bid at c = 0, so with x the opening
     distribution and P the transient kernel the occupancy N = x (I - P)^-1
     comes out level by level. The index-weighted occupancy M = sum_t t x_t
-    solves M (I - P) = N, the same sweep with N as its source.
+    solves M (I - P) = N, the same sweep with N as its source. The sweep
+    also ends once the mass lifted into the next level is below
+    _LIVE_MASS_TOL, so a backstop far past the reachable counts costs
+    nothing.
     """
     opening = bidding.opening_row()  # A bids surely, so absorb == 0
-    rows = [(chain.transitions(2, "A"), chain.transitions(2, "B")) for chain in (silent, bidding)]
-    wins, visits, indexed = np.zeros((2, top + 1)), np.zeros(2), np.zeros(2)
+    silent_rows, bidding_rows = ((chain.transitions(2, "A"), chain.transitions(2, "B"))
+                                 for chain in (silent, bidding))
+    levels = []  # per level: wins, visits and index-weighted wins, each of A then B
     lifted_n = lifted_m = 0.0  # occupancy and index-weighted occupancy lifted into level c
-    for c in range(top + 1):
-        a_row, b_row = rows[c < top]
+    for c in itertools.count():
+        active = bids(c, 2)
+        a_row, b_row = bidding_rows if active else silent_rows
         led_n = lifted_n + (opening.to_a if c == 1 else 0.0)
         led_m = lifted_m + led_n
         leave_b = b_row.to_a + b_row.absorb
         other_n = ((opening.to_b if c == 0 else 0.0) + led_n * a_row.to_b) / leave_b
         other_m = (other_n + led_m * a_row.to_b) / leave_b
-        wins[:, c] = led_n * a_row.absorb, other_n * b_row.absorb
-        visits += led_n, other_n
-        indexed += led_m * a_row.absorb, other_m * b_row.absorb
+        levels.append((led_n * a_row.absorb, other_n * b_row.absorb, led_n, other_n,
+                       led_m * a_row.absorb, other_m * b_row.absorb))
         lifted_n = led_n * a_row.to_a + other_n * b_row.to_a
         lifted_m = led_m * a_row.to_a + other_m * b_row.to_a
-    return _CountedOccupancy(wins, visits, indexed)
+        if not active or c and lifted_n < _LIVE_MASS_TOL:
+            wins, visits, indexed = np.array(levels).T.reshape(3, 2, -1)
+            return _CountedOccupancy(wins, visits.sum(1), indexed.sum(1))
 
 
 def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,

@@ -126,8 +126,11 @@ def _lottery_rows(elig_a: int, elig_b: int,
     nodes integrate exactly, with positive weights, so nothing cancels.
     absorb is the closed form (1 - beta_a)^elig_a (1 - beta_b)^elig_b with
     each factor taken in log space (1 for a group with no eligible coin), and
-    to_a and to_b are scaled to sum to its complement, so every row sums to 1
-    within a rounding.
+    to_a and to_b are scaled to sum to its complement. That sum misses 1 by
+    a rounding or two, so the row's exact residual, from two error-free sums
+    (Fast2Sum), comes off its larger move wherever that move is at least
+    absorb: such a row sums to 1 exactly (math.fsum), and absorb is never
+    touched.
     """
     elig = np.array([elig_a, elig_b], dtype=float)[:, None]
     nodes, weights = _legendre_nodes(max(1, (elig_a + elig_b + 1) // 2))
@@ -137,12 +140,23 @@ def _lottery_rows(elig_a: int, elig_b: int,
     # group's own; for a group with no eligible coin the elig factor zeroes it
     moves = elig * betas * (powers[0] * powers[1] / stay @ weights)
     with np.errstate(divide="ignore"):  # log1p(-1) is -inf: that group always bids
-        logs = np.multiply(elig, np.log1p(-betas), out=np.zeros_like(betas), where=elig > 0)
+        logs = np.multiply(elig, np.log1p(-betas), out=np.zeros(betas.shape), where=elig > 0)
     moved = -np.expm1(logs[0] + logs[1])
     total = moves[0] + moves[1]  # 0 only where no coin can come up heads
     moves *= moved / np.where(total > 0.0, total, 1.0)
     factors = np.exp(logs)
-    return moves[0], moves[1], factors[0] * factors[1]
+    absorb = factors[0] * factors[1]
+    to_a, to_b = moves
+    larger, smaller = np.maximum(to_a, to_b), np.minimum(to_a, to_b)
+    # Two Fast2Sums: larger >= smaller, and pair >= absorb in every row
+    # that is mended; row - 1 is exact, as row is within a few ulps of 1
+    pair = larger + smaller
+    row = pair + absorb
+    residual = (row - 1.0) + ((smaller - (pair - larger)) + (absorb - (row - pair)))
+    a_larger, mend = to_a >= to_b, larger >= absorb
+    np.subtract(to_a, residual, out=to_a, where=a_larger & mend)
+    np.subtract(to_b, residual, out=to_b, where=mend > a_larger)
+    return to_a, to_b, absorb
 
 
 def _eligible_counts(k_a: int, k_b: int, leader: Optional[str], tie_rule: str) -> tuple[int, int]:
@@ -235,12 +249,12 @@ class TwoGroupChain:
         then come out of one vectorized pass of the lottery (see
         _lottery_rows).
         """
+        elig_a, elig_b = _eligible_counts(self.group_a_size, self.group_b_size, leader,
+                                          self.tie_rule)
         qs = np.arange(q_start, q_stop)
         betas = np.empty((2, len(qs)))  # a scalar beta fills its whole row
         betas[0], betas[1] = self.beta_a(qs, leader), self.beta_b(qs, leader)
         _check_probs(betas)
-        elig_a, elig_b = _eligible_counts(self.group_a_size, self.group_b_size, leader,
-                                          self.tie_rule)
         return RowTable(*_lottery_rows(elig_a, elig_b, betas))
 
     def opening_row(self) -> TransitionRow:

@@ -4,6 +4,7 @@ collusion, shills, committed players, and the full-information system."""
 import functools
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -604,6 +605,29 @@ def test_huge_budget_or_backstop_solves_on_the_capped_count_axis():
             == committed_player_profit(ASC, CommittedPolicy(1e3)))
 
 
+def test_fixed_price_committed_sweep_ends_with_its_live_mass():
+    # alpha = 1e5 lets the player place ten million bids, but the mass lifted
+    # past a few thousand counts is below the tolerance, so the sweep stops
+    # there and asks the stop rule once per level it reaches
+    calls = 0
+
+    def bids(count, q):
+        nonlocal calls
+        calls += 1
+        if calls > 100_000:
+            raise AssertionError("the stop rule was asked more than 10^5 times")
+        return _committed_bids(FIX, 1e5, count, q)
+
+    got = _counted_occupancy(FIX, *_committed_chains(FIX), bids)
+    want = _counted_occupancy(FIX, *_committed_chains(FIX),
+                              functools.partial(_committed_bids, FIX, 1e3))
+    assert got.wins.shape[1] < 10_000
+    np.testing.assert_array_equal(got.wins, want.wins)
+    np.testing.assert_array_equal(got.indexed_wins, want.indexed_wins)
+    assert (committed_player_profit(FIX, CommittedPolicy(1e5))
+            == committed_player_profit(FIX, CommittedPolicy(1e3)))
+
+
 def test_counted_step_cap_is_reported_in_the_notes(monkeypatch, caplog):
     assert shill_profit(ASC, ShillPolicy(1.0, 10)).notes == ()
     assert committed_player_profit(ASC, CommittedPolicy(1.5)).notes == ()
@@ -756,6 +780,110 @@ def test_betas_of_an_array_of_bid_indices_match_scalar_calls(spec, build, leader
             assert all(isinstance(x, float) for x in scalars)
             got = np.broadcast_to(beta(qs, leader), qs.shape)
             np.testing.assert_array_max_ulp(got, np.array(scalars), maxulp=1)
+
+
+# ---------------------------------------------------------------------------
+# accuracy of the bid probabilities against the paper's formulas
+
+D = Decimal
+
+
+def no_bid_world(pot: Decimal, fee: Decimal, m: int) -> tuple:
+    """No-bid probabilities of a symmetric world of m players by leader
+    (opening bid, A leads, B leads): w^(1/m) and w^(1/(m-1)), w = fee/pot,
+    and 1 once the fee covers the pot."""
+    if pot <= fee:
+        return D(1), D(1), D(1)
+    w = fee / pot
+    return w ** (D(1) / m), w ** (D(1) / (m - 1)), w ** (D(1) / (m - 1))
+
+
+def paper_no_bids(spec, case: str, q: int) -> tuple:
+    """(group A, group B) no-bid probabilities by leader at bid index q, in
+    40-digit Decimal; None for a group whose probability is a constant.
+
+    Fee-aware players (bidfee's group A) give (no-bid, kappa) pairs instead:
+    their log no-bid probability is the sum log(w)/(n-1) + log(r)/e_A of two
+    terms of opposite sign once A pays more, and kappa, the sum of the terms'
+    sizes over the size of the sum, is how much that sum magnifies the
+    terms' roundings; where the terms do not cancel it is 1."""
+    n, fee = spec.population, D(spec.fee_cents) / 100
+
+    def pot(value: Decimal) -> Decimal:
+        paid = D(spec.increment_cents) * (q - 1) if spec.is_ascending else D(spec.price_cents)
+        return value - paid / 100
+
+    value = D(spec.value_cents) / 100
+    plain = no_bid_world(pot(value), fee, n)
+    w = fee / pot(value)
+    if case == "mixed":
+        return no_bid_world(pot(value), fee, n - 10), no_bid_world(pot(value), fee, n + 10)
+    if case == "valuation":
+        return no_bid_world(pot(D("1.5") * value), fee, n), plain
+    if case == "collusion many_bidders":
+        return (w ** (D(1) / n), D(1), w ** (D(1) / (n - 1))), plain
+    if case == "collusion single_bidder":
+        return (w ** (D(5) / n), D(1), w ** (D(5) / (n - 1))), plain
+    if case.startswith("bidfee"):
+        ratio = D(bidfee_fee_a(spec, case)) / fee
+        b_leads, a_leads = (min(ratio ** (D(1) / e_a) * w ** (D(1) / (n - 1)), D(1))
+                            for e_a in (5, 4))
+        kappa_b, kappa_a = ((abs(w.ln()) / (n - 1) + abs(ratio.ln()) / e_a)
+                            / abs(w.ln() / (n - 1) + ratio.ln() / e_a) for e_a in (5, 4))
+        return ((b_leads ** (D(n - 1) / n), kappa_b), (a_leads, kappa_a),
+                (b_leads, kappa_b)), plain
+    if case == "shill":
+        return None, no_bid_world(pot(value), fee, n + 2)
+    return None, plain  # the committed player's regulars
+
+
+def bidfee_fee_a(spec, case: str) -> float:
+    """Group A's fee: half of B's, or above B's but below the pot."""
+    if case == "bidfee lower":
+        return spec.fee / 2
+    return min(1.5 * spec.fee, (spec.fee + spec.value - spec.price) / 2)
+
+
+def accuracy_chain(spec, case: str):
+    if case == "mixed":
+        return mixed_estimates_chain(spec, 10)
+    if case == "valuation":
+        return valuation_asymmetry_chain(spec, 10, 1.5)
+    if case.startswith("collusion"):
+        return collusion_chain(spec, 5, case.split()[1])
+    if case.startswith("bidfee"):
+        return bidfee_asymmetry_chain(spec, 5, bidfee_fee_a(spec, case))
+    if case == "shill":
+        return shill_chain(spec, ShillPolicy(1.0, 5, 2)).active
+    return _committed_chains(spec)[0]
+
+
+FIXED_ONLY = ["valuation", "collusion many_bidders", "collusion single_bidder",
+              "bidfee lower", "bidfee higher"]
+ACCURACY_SPECS = {"FIX": FIX, "ASC": ASC,
+                  "w=1e-8": AuctionSpec.fixed_price(1e6, 0.01, 0, 50),
+                  "w=0.99": AuctionSpec.fixed_price(100, 99, 0, 50)}
+
+
+@pytest.mark.parametrize("name, case", [
+    (name, case) for name, spec in ACCURACY_SPECS.items()
+    for case in ["mixed", "shill", "committed", *([] if spec.is_ascending else FIXED_ONLY)]])
+def test_bid_probabilities_match_the_paper_within_four_ulps(name, case):
+    spec = ACCURACY_SPECS[name]
+    chain = accuracy_chain(spec, case)
+    Q = int(max_bids(spec)) if spec.is_ascending else 1
+    for q in sorted({1, 2, Q // 2, Q, Q + 1, Q + 2} - {0}):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            groups = paper_no_bids(spec, case, q)
+        for beta, no_bids in zip((chain.beta_a, chain.beta_b), groups):
+            if no_bids is None:
+                continue
+            for leader, no_bid in zip((None, "A", "B"), no_bids):
+                no_bid, kappa = no_bid if isinstance(no_bid, tuple) else (no_bid, 1)
+                want = float(1 - no_bid)
+                got = beta(q, leader)
+                assert abs(got - want) <= 4 * float(kappa) * math.ulp(want), (q, leader, got, want)
 
 
 # ---------------------------------------------------------------------------
