@@ -38,7 +38,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core_model import AuctionSpec, max_bids, symmetric_beta
-from .markov_engine import _MAX_STEPS, _ROW_BLOCK, BetaFn, TwoGroupChain
+from .markov_engine import (_MAX_STEPS, _ROW_BLOCK, BetaFn, TransitionRow, TwoGroupChain,
+                            _leader_tables)
 
 __all__ = [
     "GroupProfile",
@@ -162,10 +163,11 @@ def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile,
     """
     if profile_a.size + profile_b.size != spec.population:
         raise ValueError("group sizes must add up to the auction population")
-    fees, betas, notes = [], [], []
+    fees, betas, notes, stakes = [], [], [], []
     for name, profile in (("A", profile_a), ("B", profile_b)):
         fee_cents = spec.fee_cents if profile.fee is None else 100 * profile.fee
         value_cents = spec.value_cents if profile.value is None else 100 * profile.value
+        stakes.append(value_cents - fee_cents)
         if value_cents - (0 if spec.is_ascending else spec.price_cents) <= fee_cents:
             notes.append(f"degenerate: group {name} never bids (fee covers the whole pot)")
         fees.append(spec.fee if profile.fee is None else profile.fee)
@@ -173,9 +175,9 @@ def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile,
         betas.append(_bid_probability(spec, fee_cents, value_cents, _symmetric_world(perceived)))
     horizon = None
     if spec.is_ascending:
-        # Bids beyond index Q+1 would stake less than the fee even for the
-        # most optimistic perception, since the pot does not depend on beliefs.
-        horizon = int(max_bids(spec)) + 1
+        # Nobody bids past index Q + 1 of the largest value less fee a group
+        # stakes, Q = floor((value - fee) / increment); beliefs move no pot.
+        horizon = max(1, int(max(stakes) // spec.increment_cents) + 1)
     return _chain(spec, group_a_size=profile_a.size, group_b_size=profile_b.size,
                   beta_a=betas[0], beta_b=betas[1], fee_a=fees[0], fee_b=fees[1],
                   horizon=horizon, notes=tuple(notes))
@@ -803,9 +805,9 @@ def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
     _LIVE_MASS_TOL, so a backstop far past the reachable counts costs
     nothing.
     """
-    opening = bidding.opening_row()  # A bids surely, so absorb == 0
-    silent_rows, bidding_rows = ((chain.transitions(2, "A"), chain.transitions(2, "B"))
-                                 for chain in (silent, bidding))
+    # [opening, A leads, B leads]; A bids the opening surely, so its absorb == 0
+    (_, *silent_rows), (opening, *bidding_rows) = (
+        [TransitionRow(*row) for row in chain._kernel().tolist()] for chain in (silent, bidding))
     levels = []  # per level: wins, visits and index-weighted wins, each of A then B
     lifted_n = lifted_m = 0.0  # occupancy and index-weighted occupancy lifted into level c
     for c in itertools.count():
@@ -894,10 +896,10 @@ def _counted_rows(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
     many counts there are.
     """
     counts = np.arange(top + 1)
-    for q in itertools.count(2, block):
+    pairs = zip(_leader_tables(bidding, block), _leader_tables(silent, block))
+    for q, pair in zip(itertools.count(2, block), pairs):
         # tables[chain][r, leader, to_a/to_b/absorb, 0] for bid index q + r
-        tables = [np.array([chain.row_table(leader, q, q + block) for leader in ("A", "B")])
-                  .transpose(2, 0, 1)[..., None] for chain in (bidding, silent)]
+        tables = [table.transpose(2, 0, 1)[..., None] for table in pair]
         for r in range(0, block, _MERGE_CHUNK):
             qs = np.arange(q + r, q + min(r + _MERGE_CHUNK, block))
             on = bids(counts, qs[:, None, None, None])  # against [q, leader, column, count]

@@ -27,15 +27,15 @@ to_a = e_A beta_A int_0^1 (1 - beta_A s)^(e_A - 1) (1 - beta_B s)^e_B ds,
 whose polynomial integrand a Gauss-Legendre rule integrates exactly (see
 _lottery_rows); the no-bid entry is (1 - beta_A)^e_A (1 - beta_B)^e_B.
 
-Rows are tabulated: TwoGroupChain.row_table calls each beta callable once
-with the array of a range's bid indices and builds every row of that range
-in one vectorized pass of the lottery. It is the only row path:
-TwoGroupChain.transitions, opening_row and build_transitions are its
-one-row case. A time-homogeneous chain needs one row per leader;
-evolve_recurrence reads that row, or for any other chain a table per block
-of bid indices, and steps a whole block per numpy pass through prefix
-products of the 2x2 kernels. The vectorized simulators draw against the
-same rows, one bid index at a time (_rows_by_step).
+Every row of a chain comes from TwoGroupChain._kernel: the rows of a set of
+(bid index, leader) states in one lottery pass, each beta called once per
+state with an int or an array of bid indices. Its default is the stationary
+kernel (opening, A-led and B-led rows); transitions, opening_row, row_table
+and build_transitions are its one-state cases. A chain's rows share one
+Gauss-Legendre rule and sum their nodes outside BLAS, so a row has one value
+however it is requested. evolve_recurrence and the vectorized simulators
+read the led rows a block of bid indices at a time (_leader_tables), and
+evolve_recurrence steps each block through prefix products of 2x2 kernels.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ __all__ = [
 BetaFn = Callable[[Union[int, np.ndarray], Optional[str]], Union[float, np.ndarray]]
 
 _TIE_RULES = ("uniform", "single_ticket")
+_STATIONARY = ((1, None), (2, "A"), (2, "B"))  # (bid index, leader) of a chain's kernel
 _ROW_BLOCK = 1024  # bid indices per row-table block when no horizon bounds the chain
 
 
@@ -95,12 +96,12 @@ class NonAbsorbingChainError(ValueError):
 
 
 def _check_probs(betas: np.ndarray) -> None:
-    """Raise on the first entry of betas[group, r] outside [0, 1], A's first."""
+    """Raise on the first entry of betas[group, ...] outside [0, 1], A's first."""
     valid = (betas >= 0.0) & (betas <= 1.0)  # NaN fails the comparisons too
     if not valid.all():
-        group, r = np.argwhere(~valid)[0]
-        raise ValueError(f"beta_{'ab'[group]} must be a probability in [0, 1], "
-                         f"got {betas[group, r]}")
+        index = tuple(np.argwhere(~valid)[0])
+        raise ValueError(f"beta_{'ab'[index[0]]} must be a probability in [0, 1], "
+                         f"got {betas[index]}")
 
 
 @lru_cache(maxsize=64)
@@ -113,17 +114,18 @@ def _legendre_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _lottery_rows(elig_a: int, elig_b: int,
-                  betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(to_a, to_b, absorb) for elig_a + elig_b independent coins and a
-    uniform draw, one entry per pair (betas[0, r], betas[1, r]).
+def _lottery_rows(elig: np.ndarray, betas: np.ndarray, count: int) -> np.ndarray:
+    """[row, to_a/to_b/absorb, ...] for elig[0] + elig[1] independent coins
+    and a uniform draw, per pair (betas[0][row, ...], betas[1][row, ...]).
 
     A given A coin gets the bid with probability beta_a E[1 / (1 + Y)], Y the
     heads among the other coins, and E[1 / (1 + Y)] = int_0^1 E[s^Y] ds, so
     to_a = elig_a beta_a int_0^1 (1 - beta_a s)^(elig_a - 1) (1 - beta_b s)^elig_b ds
     (to_b likewise). The integrand is a polynomial of degree
-    elig_a + elig_b - 1, which ceil((elig_a + elig_b) / 2) Gauss-Legendre
-    nodes integrate exactly, with positive weights, so nothing cancels.
+    elig_a + elig_b - 1, which count Gauss-Legendre nodes integrate exactly
+    where 2 count >= elig_a + elig_b, with positive weights, so nothing
+    cancels; einsum sums the nodes in an order set by count alone, never
+    through BLAS, so a row's value does not depend on its batch.
     absorb is the closed form (1 - beta_a)^elig_a (1 - beta_b)^elig_b with
     each factor taken in log space (1 for a group with no eligible coin), and
     to_a and to_b are scaled to sum to its complement. That sum misses 1 by
@@ -132,16 +134,15 @@ def _lottery_rows(elig_a: int, elig_b: int,
     absorb: such a row sums to 1 exactly (math.fsum), and absorb is never
     touched.
     """
-    elig = np.array([elig_a, elig_b], dtype=float)[:, None]
-    nodes, weights = _legendre_nodes(max(1, (elig_a + elig_b + 1) // 2))
-    stay = 1.0 - betas[:, :, None] * nodes  # [group, r, node], positive as nodes < 1
-    powers = stay ** elig[:, :, None]
+    nodes, weights = _legendre_nodes(count)
+    stay = 1.0 - betas[..., None] * nodes  # [group, ..., node], positive as nodes < 1
+    powers = stay ** elig[..., None]
     # (1 - beta_a s)^elig_a (1 - beta_b s)^elig_b over one factor of the
     # group's own; for a group with no eligible coin the elig factor zeroes it
-    moves = elig * betas * (powers[0] * powers[1] / stay @ weights)
+    moves = elig * betas * np.einsum("...n,n->...", powers[0] * powers[1] / stay, weights)
     with np.errstate(divide="ignore"):  # log1p(-1) is -inf: that group always bids
         logs = np.multiply(elig, np.log1p(-betas), out=np.zeros(betas.shape), where=elig > 0)
-    moved = -np.expm1(logs[0] + logs[1])
+    moved = 0.0 - np.expm1(logs[0] + logs[1])  # +0.0, not -0.0, where no coin can bid
     total = moves[0] + moves[1]  # 0 only where no coin can come up heads
     moves *= moved / np.where(total > 0.0, total, 1.0)
     factors = np.exp(logs)
@@ -156,24 +157,7 @@ def _lottery_rows(elig_a: int, elig_b: int,
     a_larger, mend = to_a >= to_b, larger >= absorb
     np.subtract(to_a, residual, out=to_a, where=a_larger & mend)
     np.subtract(to_b, residual, out=to_b, where=mend > a_larger)
-    return to_a, to_b, absorb
-
-
-def _eligible_counts(k_a: int, k_b: int, leader: Optional[str], tie_rule: str) -> tuple[int, int]:
-    if leader not in ("A", "B", None):
-        raise ValueError(f"leader must be 'A', 'B', or None, got {leader!r}")
-    if leader == "A" and k_a <= 0:
-        raise ValueError("group A cannot lead, it has no members")
-    if leader == "B" and k_b <= 0:
-        raise ValueError("group B cannot lead, it has no members")
-    elig_b = k_b - 1 if leader == "B" else k_b
-    if tie_rule == "single_ticket":
-        # One hand per round for group A; whether the ticket is live is encoded
-        # in beta_a (builders set it to 0 when the group cannot bid).
-        elig_a = 1
-    else:
-        elig_a = k_a - 1 if leader == "A" else k_a
-    return elig_a, elig_b
+    return np.stack((to_a, to_b, absorb), axis=1)
 
 
 def build_transitions(
@@ -238,28 +222,46 @@ class TwoGroupChain:
         return self.group_a_size + self.group_b_size
 
     def transitions(self, q: int, leader: str) -> TransitionRow:
-        """Row out of `leader`'s state at bid index q, the one-row case of
-        row_table."""
-        return TransitionRow(*(column.item() for column in self.row_table(leader, q, q + 1)))
+        """Row out of `leader`'s state at bid index q."""
+        return TransitionRow(*self._kernel(((q, leader),))[0].tolist())
 
     def row_table(self, leader: str, q_start: int, q_stop: int) -> RowTable:
         """Rows out of `leader`'s state for every bid index q_start <= q < q_stop.
 
         Each beta is called once, with the array of bid indices; all rows
-        then come out of one vectorized pass of the lottery (see
-        _lottery_rows).
+        then come out of one vectorized pass of the lottery (see _kernel).
         """
-        elig_a, elig_b = _eligible_counts(self.group_a_size, self.group_b_size, leader,
-                                          self.tie_rule)
-        qs = np.arange(q_start, q_stop)
-        betas = np.empty((2, len(qs)))  # a scalar beta fills its whole row
-        betas[0], betas[1] = self.beta_a(qs, leader), self.beta_b(qs, leader)
-        _check_probs(betas)
-        return RowTable(*_lottery_rows(elig_a, elig_b, betas))
+        return RowTable(*self._kernel(((np.arange(q_start, q_stop), leader),))[0])
 
     def opening_row(self) -> TransitionRow:
         """Outcome split of the opening bid: (goes to A, goes to B, no bid)."""
         return self.transitions(1, None)
+
+    def _kernel(self, states=_STATIONARY) -> np.ndarray:
+        """Rows out of each (bid index, leader) state, leader None being the
+        opening bid, as [state, to_a/to_b/absorb] plus the shape of the bid
+        indices (ints, or int arrays of one shape), from one lottery pass;
+        by default the stationary kernel of opening, A-led and B-led rows.
+        A group with no members never leads: its led row has no coin and
+        absorbs. All states share one Gauss-Legendre rule, sized for the
+        opening row, whose degree is the chain's highest.
+        """
+        k_a, k_b = self.group_a_size, self.group_b_size
+        ticket = self.tie_rule == "single_ticket"
+        elig = {None: (1 if ticket else k_a, k_b),
+                "A": (1 if ticket else k_a - 1, k_b) if k_a else None,
+                "B": (1 if ticket else k_a, k_b - 1) if k_b else None}
+        shape = np.shape(states[0][0])
+        counts = np.zeros((2, len(states)) + (1,) * len(shape))  # broadcast over q
+        betas = np.zeros((2, len(states)) + shape)  # a scalar beta fills its whole row
+        for i, (q, leader) in enumerate(states):
+            if leader not in elig:
+                raise ValueError(f"leader must be 'A', 'B', or None, got {leader!r}")
+            if elig[leader]:
+                counts[:, i].flat = elig[leader]
+                betas[0, i], betas[1, i] = self.beta_a(q, leader), self.beta_b(q, leader)
+        _check_probs(betas)
+        return _lottery_rows(counts, betas, (sum(elig[None]) + 1) // 2)
 
 
 def first_bid_distribution(chain: TwoGroupChain, conditioned: bool = True):
@@ -309,8 +311,8 @@ def absorption_closed_form(chain: TwoGroupChain, q: int = 2) -> AbsorptionSummar
     """
     if not chain.time_homogeneous:
         raise ValueError("closed form needs a time-homogeneous chain, use evolve_recurrence")
-    row_a = chain.transitions(q, "A") if chain.group_a_size > 0 else TransitionRow(0.0, 0.0, 1.0)
-    row_b = chain.transitions(q, "B") if chain.group_b_size > 0 else TransitionRow(0.0, 0.0, 1.0)
+    kernel = chain._kernel(((1, None), (q, "A"), (q, "B"))).tolist()
+    opening, row_a, row_b = (TransitionRow(*row) for row in kernel)
     if row_a.absorb <= 0.0 and row_b.absorb <= 0.0:
         raise NonAbsorbingChainError("chain never absorbs (no state can end the auction)")
     # 1 - to_a of the A-led row is its other two entries (same for B), so
@@ -327,7 +329,10 @@ def absorption_closed_form(chain: TwoGroupChain, q: int = 2) -> AbsorptionSummar
     ]) / det
     absorb = np.array([row_a.absorb, row_b.absorb])
     absorption_probs = n_mat * absorb[None, :]
-    start = first_bid_distribution(chain, conditioned=True)
+    mass = opening.to_a + opening.to_b
+    if mass <= 0.0:
+        raise NonAbsorbingChainError("no opening bid is possible in this chain")
+    start = np.array([opening.to_a / mass, opening.to_b / mass])
     bids_by_group = start @ n_mat
     expected_bids = float(bids_by_group.sum())
     win_probs = start @ absorption_probs
@@ -389,30 +394,17 @@ class OccupancySeries:
 _MAX_STEPS = 10_000_000
 
 
-def _row_tables(chain: TwoGroupChain, leader: str, block: int) -> Iterator[np.ndarray]:
-    """Rows out of `leader`'s state at q = 2, 3, ..., without end, as one
-    [to_a/to_b/absorb, r] array per `block` bid indices.
-
-    A group with no members never leads, so its rows just absorb. A
-    time-homogeneous chain repeats one table of its one row; any other chain
-    reads a row table per block.
+def _leader_tables(chain: TwoGroupChain, block: int) -> Iterator[np.ndarray]:
+    """Rows out of A's and B's leads at q = 2, 3, ..., without end, as one
+    [A/B leads, to_a/to_b/absorb, r] array per `block` bid indices: a
+    time-homogeneous chain repeats its kernel's two led rows, any other
+    chain reads a row table per leader and block.
     """
-    size = chain.group_a_size if leader == "A" else chain.group_b_size
-    if size == 0 or chain.time_homogeneous:
-        row = chain.transitions(2, leader) if size else (0.0, 0.0, 1.0)
-        yield from itertools.repeat(np.repeat(np.array(row)[:, None], block, axis=1))
+    if chain.time_homogeneous:
+        yield from itertools.repeat(np.repeat(chain._kernel()[1:, :, None], block, axis=2))
     else:
         for q in itertools.count(2, block):
-            yield np.array(chain.row_table(leader, q, q + block))
-
-
-def _rows_by_step(chain: TwoGroupChain, leader: str,
-                  horizon: Optional[int] = None) -> Iterator[tuple[float, float, float]]:
-    """(to_a, to_b, absorb) out of `leader`'s state at q = 2, 3, ... as floats,
-    without end, from tables of min(horizon, _ROW_BLOCK) bid indices."""
-    block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
-    for table in _row_tables(chain, leader, block):
-        yield from zip(*table.tolist())
+            yield np.array([chain.row_table(leader, q, q + block) for leader in ("A", "B")])
 
 
 def _prefix_products(kernels: np.ndarray) -> np.ndarray:
@@ -465,9 +457,8 @@ def evolve_recurrence(
     notes = ()
     max_err = 0.0
     ended = 0.0
-    tables = zip(*(_row_tables(chain, leader, block) for leader in ("A", "B")))
-    for t, rows in zip(itertools.count(1, block), tables):  # t: the block's first step
-        rows = np.array(rows)  # rows[leader, to_a/to_b/absorb, r] at q = t + 1 + r
+    # rows[leader, to_a/to_b/absorb, r] at q = t + 1 + r; t: the block's first step
+    for t, rows in zip(itertools.count(1, block), _leader_tables(chain, block)):
         if t == 1 or not chain.time_homogeneous:
             prods = _prefix_products(rows[:, :2])
         n = min(block, limit - t + 1)

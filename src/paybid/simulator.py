@@ -7,7 +7,7 @@ tests that build rows by enumerating every coin outcome. simulate_chain,
 simulate_shill and simulate_committed share one sampling loop that runs many
 trials of the reduced dynamics in vectorized lockstep: each round every live
 trial draws one uniform against the row the analytic code already builds,
-every one of them from TwoGroupChain.row_table. simulate_chain runs one
+every one of them from TwoGroupChain._kernel. simulate_chain runs one
 chain; the shill and the committed player run the bidding and silent chains
 and stop rule their exact solvers share. Sharing the rows, they check the
 sums over those rows (closed form, recurrence, dynamic programs), fast
@@ -30,7 +30,7 @@ import numpy as np
 
 from .asymmetry_models import _committed_bids, _committed_chains, shill_chain
 from .core_model import AuctionSpec, max_bids, symmetric_beta
-from .markov_engine import TwoGroupChain, _rows_by_step
+from .markov_engine import _ROW_BLOCK, TwoGroupChain, _leader_tables
 
 __all__ = [
     "PlayerPolicy",
@@ -293,13 +293,15 @@ def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Calla
     won = np.zeros(trials, dtype=bool)
     bids_a = np.zeros(trials, dtype=np.int64)
     total_bids = np.zeros(trials, dtype=np.int64)
-    # one row per (chain, leader), indexed by 2 * (A bids) + (A leads)
-    rows = zip(*(_rows_by_step(chain, leader, horizon)
-                 for chain in (silent, bidding) for leader in ("B", "A")))
+    # each step's rows[2 * (A bids) + (A leads), to_a/to_b/absorb]
+    block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
+    pairs = zip(_leader_tables(silent, block), _leader_tables(bidding, block))
+    rows = (by_state for pair in pairs
+            for by_state in np.concatenate([table[::-1] for table in pair]).transpose(2, 0, 1))
     for t, by_state in enumerate(rows, start=1):
         if t > max_rounds:
             raise RuntimeError(f"simulation exceeded {max_rounds} rounds")
-        to_a, _, absorb = np.array(by_state).T
+        to_a, _, absorb = by_state.T
         state = 2 * bids(placed, t + 1) + leads
         u = rng.random(live.size)
         ended = u < absorb[state]

@@ -61,6 +61,14 @@ def test_two_group_chain_first_bid_scaling():
     assert chain.beta_b(2, "B") == pytest.approx(symmetric_beta(FIX, 2), abs=1e-15)
 
 
+def test_two_group_chain_horizon_reaches_the_highest_value():
+    # group A values the item at 200, so it bids up to index 797, twice as
+    # far as the spec's value of 100 allows
+    chain = two_group_chain(ASC, GroupProfile(25, value=200.0), GroupProfile(25))
+    assert chain.horizon == 797
+    assert evolve_recurrence(chain).residual < 1e-12
+
+
 def test_group_profile_validation():
     with pytest.raises(ValueError):
         GroupProfile(size=-1)
@@ -780,6 +788,29 @@ def test_betas_of_an_array_of_bid_indices_match_scalar_calls(spec, build, leader
             assert all(isinstance(x, float) for x in scalars)
             got = np.broadcast_to(beta(qs, leader), qs.shape)
             np.testing.assert_array_max_ulp(got, np.array(scalars), maxulp=1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: [underestimate_chain(FIX, k) for k in (-40, 0, 5, 47)],
+    lambda: [mixed_estimates_chain(FIX, k) for k in (0, 10, 48)],
+    lambda: [bidfee_asymmetry_chain(FIX, 5, 0.5, fee_b) for fee_b in (0.8, 1.0, 1.5)],
+    lambda: [valuation_asymmetry_chain(FIX, 25, alpha) for alpha in (0.5, 2.0)],
+    *(lambda rule=rule: [collusion_chain(FIX, k, rule) for k in (2, 5, 48)]
+      for rule in ("many_bidders", "single_bidder")),
+    lambda: [chain for ids in (1, 2)
+             for chain in both_phases(shill_chain(FIX, ShillPolicy(1.0, 10, ids)))],
+    lambda: list(_committed_chains(FIX)),
+    lambda: [two_group_chain(FIX, GroupProfile(a), GroupProfile(50 - a)) for a in (0, 50)],
+], ids=["underestimate", "mixed", "bidfee", "valuation", "many_bidders", "single_bidder",
+        "shill", "committed", "empty-group"])
+def test_kernel_rows_are_the_one_row_paths_bit_for_bit(build):
+    for chain in build():
+        opening, led_a, led_b = chain._kernel().tolist()
+        assert opening == list(chain.opening_row())
+        assert led_a == list(chain.transitions(2, "A"))
+        assert led_b == list(chain.transitions(2, "B"))
+        for size, led in ((chain.group_a_size, led_a), (chain.group_b_size, led_b)):
+            assert size or led == [0.0, 0.0, 1.0]  # an empty group never leads
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,7 +110,7 @@ def assert_table_matches_rows(chain, leader, q_start, table):
         want = build_transitions(chain.group_a_size, chain.group_b_size, chain.beta_a,
                                  chain.beta_b, tie_rule=chain.tie_rule, q=q_start + r,
                                  leader=leader)
-        assert got == pytest.approx(tuple(want), abs=1e-15, rel=0), q_start + r
+        assert got == tuple(want), q_start + r
 
 
 @settings(deadline=None)
@@ -163,6 +167,34 @@ def test_row_table_of_ascending_chain_past_the_last_rational_bid():
         assert np.all(table.absorb[past] == 1.0)
         assert np.all(table.to_a[past] == 0.0) and np.all(table.to_b[past] == 0.0)
         assert np.all(table.absorb[:past.start] < 1.0)
+
+
+ROW_BYTES = """
+import sys
+import numpy as np
+from paybid import AuctionSpec
+from paybid.asymmetry_models import mixed_estimates_chain, underestimate_chain
+asc = underestimate_chain(AuctionSpec.ascending(100, 1, 0.25, 50), 5)
+fix = mixed_estimates_chain(AuctionSpec.fixed_price(100, 1, 0, 50), 10)
+rows = [np.array(asc.row_table(leader, 1, 398)).ravel() for leader in "AB"]
+rows += [np.array([asc.transitions(q, leader) for q in range(1, 398)]).ravel()
+         for leader in "AB"]
+rows.append(np.array([fix.opening_row(), *(fix.transitions(2, lead) for lead in "AB")]).ravel())
+sys.stdout.write(np.concatenate(rows).tobytes().hex())
+"""
+
+
+def test_rows_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernels by CPU type, and each sums in its own
+    # order; the lottery's node sum goes through no BLAS call, so forcing
+    # another kernel moves no bit (without OpenBLAS the variable is ignored)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(src)
+    outputs = [subprocess.run([sys.executable, "-c", ROW_BYTES], env={**env, **extra},
+                              capture_output=True, text=True, timeout=120, check=True).stdout
+               for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_row_table_rejects_a_bad_probability():
