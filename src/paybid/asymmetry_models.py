@@ -29,7 +29,6 @@ lottery.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -579,6 +578,24 @@ def shill_chain(spec: AuctionSpec, policy: ShillPolicy) -> ShillPhases:
     return ShillPhases(active=active, spent=spent, bid_budget=policy.bid_budget)
 
 
+def _shill_model(spec: AuctionSpec, policy: ShillPolicy) -> _CountedModel | str:
+    """An entered shill as a counted player (_CountedModel), or the note
+    that it never bids. Its outcome is (extra profit, shill won, shill
+    bids): its own fees and any price it "pays" are house money, so profit
+    counts legitimate fees, plus the final price less the item handed over
+    when a legitimate player wins; when the shill wins the house keeps it."""
+    if policy.bid_budget == 0 or policy.entry_prob == 0.0:
+        return "shill never bids"
+    phases = shill_chain(spec, policy)
+    budget = policy.bid_budget
+
+    def outcome(a_won, own, total):
+        final_price = spec.increment * total if spec.is_ascending else spec.price
+        return spec.fee * (total - own) + (final_price - spec.value) * ~a_won, a_won, own
+
+    return _CountedModel(phases.active, phases.spent, lambda count, q: count < budget, outcome)
+
+
 def shill_profit(spec: AuctionSpec, policy: ShillPolicy) -> ShillOutcome:
     """Auctioneer's expected extra profit from planting a shill.
 
@@ -587,34 +604,16 @@ def shill_profit(spec: AuctionSpec, policy: ShillPolicy) -> ShillOutcome:
     with probability one while s < bid_budget, and the legitimate players,
     who cannot tell it from a real rival, play the symmetric solution for the
     inflated population until the shill's last budgeted bid and for the true
-    one afterwards. The shill's own fees and any price it "pays" are house
-    money, so profit counts legitimate fees, plus the final price when a
-    legitimate player wins, minus the item handed over in that case; when
-    the shill wins the house keeps the item. With a zero budget or zero entry
-    probability nothing changes and the extra profit is exactly zero.
-
-    The shill is a counted player: the active phase is its bidding chain, the
-    spent phase its silent one, and the occupancy comes from the solvers it
-    shares with committed_player_profit (_counted_occupancy).
+    one afterwards. With a zero budget or zero entry probability nothing
+    changes and the extra profit is exactly zero. _shill_model declares the
+    shill once, for this solve and the simulator.
     """
-    if policy.bid_budget == 0 or policy.entry_prob == 0.0:
-        return ShillOutcome(0.0, 0.0, 0.0, 0.0, 0.0, notes=("shill never bids",))
-    phases = shill_chain(spec, policy)
-    budget = policy.bid_budget
-    occupancy = _counted_occupancy(spec, phases.active, phases.spent,
-                                   lambda count, q: count < budget)
-    shill_wins, legit_wins = occupancy.wins.sum(1).tolist()
-    shill_bids, legit_bids = occupancy.visits.tolist()
-    price_paid = float(occupancy.price_paid(spec)[1])
-    entered_profit = spec.fee * legit_bids + price_paid - spec.value * legit_wins
-    return ShillOutcome(
-        expected_profit=policy.entry_prob * entered_profit,
-        win_prob_shill=policy.entry_prob * shill_wins,
-        entered_profit=entered_profit,
-        entered_win_prob=shill_wins,
-        entered_shill_bids=shill_bids,
-        notes=occupancy.notes,
-    )
+    model = _shill_model(spec, policy)
+    if isinstance(model, str):
+        return ShillOutcome(0.0, 0.0, 0.0, 0.0, 0.0, notes=(model,))
+    (profit, won, shill_bids), notes = _expected(spec, model)
+    return ShillOutcome(policy.entry_prob * profit, policy.entry_prob * won, profit, won,
+                        shill_bids, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -661,57 +660,49 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
     price; winning paths cost strictly less, so the loss never exceeds
     (multiplier - 1) * v.
 
-    The committed player is a counted player: _committed_chains gives its
-    bidding and silent chains, _committed_bids the stop rule, and the
-    occupancy comes from the solvers it shares with shill_profit
-    (_counted_occupancy). The payoffs are read from the wins by own-bid
-    count and the bid-index-weighted wins.
-
-    With multiplier <= 1 the backstop already beats the auction and committed
-    play is vacuous; both profits are reported as zero with a note.
+    _committed_model declares the player once, for this solve and the
+    simulator. With multiplier <= 1 committed play is vacuous, and so it is
+    when even the opening bid would overshoot retail: every payoff is zero,
+    with a note.
     """
-    alpha = policy.retail_multiplier
+    model = _committed_model(spec, policy.retail_multiplier)
+    if isinstance(model, str):
+        return CommittedOutcome(0.0, 0.0, 0.0, 0.0, notes=(model,))
+    payoffs, notes = _expected(spec, model)
+    return CommittedOutcome(*payoffs, notes=notes)
+
+
+def _committed_model(spec: AuctionSpec, alpha: float) -> _CountedModel | str:
+    """The committed player (group A) with retail multiplier alpha against
+    n - 1 regulars on the symmetric n-player solution, as a counted player
+    (_CountedModel), or the note why every payoff is zero.
+
+    With c own bids so far A places bid q only while winning right after
+    it, (c + 1) fees plus the price after bid q, stays strictly below retail
+    (in cents, so exactly). The outcome is (player profit, auctioneer
+    profit, committed won, total bids): the fee credit tops a losing player
+    up to exactly retail, and the auctioneer sells a second item at retail
+    minus that credit.
+    """
     if alpha <= 1.0:
-        return CommittedOutcome(0.0, 0.0, 0.0, 0.0,
-                                notes=("backstop at or below the item value, nothing to commit to",))
-    if not _committed_bids(spec, alpha, 0, 1):
-        return CommittedOutcome(0.0, 0.0, 0.0, 0.0,
-                                notes=("even one bid would overshoot the retail backstop",))
-    occupancy = _counted_occupancy(spec, *_committed_chains(spec),
-                                   functools.partial(_committed_bids, spec, alpha))
+        return "backstop at or below the item value, nothing to commit to"
+
+    def bids(c, q):
+        price_c = spec.increment_cents * q if spec.is_ascending else spec.price_cents
+        return (c + 1) * spec.fee_cents + price_c < alpha * spec.value_cents
+
+    if not bids(0, 1):
+        return "even one bid would overshoot the retail backstop"
     v, b, retail = spec.value, spec.fee, alpha * spec.value
-    won, lost = occupancy.wins.sum(1).tolist()
-    fees_won, fees_lost = (b * (occupancy.wins @ np.arange(occupancy.wins.shape[1]))).tolist()
-    price_won, price_lost = occupancy.price_paid(spec).tolist()
-    indexed = float(occupancy.indexed_wins.sum())
-    # Fee credit tops a losing player up to exactly the retail price; the
-    # auctioneer sells a second item at retail minus that credit.
-    player = v * won - fees_won - price_won + (v - retail) * lost
-    auctioneer = (b * indexed + price_won + price_lost - v * (won + lost)
-                  + (retail - v) * lost - fees_lost)
-    return CommittedOutcome(
-        player_profit=player,
-        auctioneer_profit=auctioneer,
-        committed_win_prob=won,
-        expected_total_bids=indexed,
-        notes=occupancy.notes,
-    )
 
+    def outcome(a_won, own, total):
+        price = spec.increment * total if spec.is_ascending else spec.price
+        return (np.where(a_won, v - own * b - price, v - retail),
+                (b * total + price - v) + np.where(a_won, 0.0, (retail - own * b) - v),
+                a_won, total)
 
-def _committed_bids(spec: AuctionSpec, alpha: float, c, q: int):
-    """The committed player's stop rule: with c own bids so far it places bid
-    q only while winning right after it, (c + 1) fees plus the price after
-    bid q, stays strictly below retail. Cents arithmetic keeps the comparison
-    exact; c may be an array of own-bid counts."""
-    price_c = spec.increment_cents * q if spec.is_ascending else spec.price_cents
-    return (c + 1) * spec.fee_cents + price_c < alpha * spec.value_cents
-
-
-def _committed_chains(spec: AuctionSpec) -> tuple[TwoGroupChain, TwoGroupChain]:
-    """The committed player's bidding and silent chains: group A is the
-    committed player, group B the n - 1 regulars on the symmetric n-player
-    solution, which in an ascending auction is 0 past the last rational bid."""
-    return _counted_chains(spec, spec.population - 1, spec.population, spec.fee, "uniform")
+    return _CountedModel(*_counted_chains(spec, spec.population - 1, spec.population, spec.fee,
+                                          "uniform"), bids, outcome)
 
 
 def _counted_chains(spec: AuctionSpec, rivals: int, perceived: int, fee_a: float,
@@ -735,45 +726,66 @@ def _counted_chains(spec: AuctionSpec, rivals: int, perceived: int, fee_a: float
 
 # ---------------------------------------------------------------------------
 # One counted player against symmetric rivals
-#
-# The shill and the committed player are the same object: group A is one
-# player who bids with probability one while a predicate bids(count, q) of
-# its own placed bids and the bid index allows, and is silent from then on.
-# A model gives a bidding chain, a silent chain and that predicate; the rows
-# out of (leader, count) at bid index q are the bidding chain's while
-# bids(count, q) holds and the silent chain's otherwise. A's bid lifts the
-# count by one, B's leaves it. A bids the opening bid, and the predicate
-# never grows with the count or with q.
+
+
+class _CountedModel(NamedTuple):
+    """One counted player, group A, against symmetric rivals, read by the
+    exact solve (_expected) and the simulator alike: the shill and the
+    committed player (_shill_model, _committed_model).
+
+    A bids with probability one while a predicate bids(count, q) of its own
+    placed bids and the bid index allows, and is silent from then on: the
+    rows out of (leader, count) at bid index q are the bidding chain's while
+    bids(count, q) holds and the silent chain's otherwise. A's bid lifts the
+    count by one, B's leaves it. A bids the opening bid, and the predicate
+    never grows with the count or with q. outcome(a_won, own, total) gives
+    the payoffs of finished auctions, elementwise over numpy arrays. For a
+    fixed winner and own count each payoff must be affine in total, as a
+    final price of increment * total or a fixed price keeps it.
+    """
+
+    bidding: TwoGroupChain
+    silent: TwoGroupChain
+    bids: Callable
+    outcome: Callable
 
 
 class _CountedOccupancy(NamedTuple):
-    """Expected outcome of a counted-player chain, each field indexed by the
-    leading group, A then B: wins[g, c] is the probability that the auction
-    ends with g leading and A holding c bids, visits[g] the expected bids of
-    g, and indexed_wins[g] the final bid index summed over g's wins,
-    weighted by probability; notes says why the solve stopped early, if it
-    did."""
+    """Expected ends of a counted-player chain, each field indexed by the
+    leading group, A then B, and A's count: wins[g, c] is the probability
+    that the auction ends with g leading and A holding c bids, and
+    indexed_wins[g, c] the final bid index summed over those ends, weighted
+    by probability; notes says why the solve stopped early, if it did."""
 
     wins: np.ndarray
-    visits: np.ndarray
     indexed_wins: np.ndarray
     notes: tuple = ()
-
-    def price_paid(self, spec: AuctionSpec) -> np.ndarray:
-        """Expected final price summed over A's wins and over B's wins."""
-        if spec.is_ascending:
-            return spec.increment * self.indexed_wins
-        return spec.price * self.wins.sum(1)
 
 
 _LIVE_MASS_TOL = 1e-15
 _MERGE_CHUNK = 32  # bid indices whose rows _counted_rows merges at once
 
 
-def _counted_occupancy(spec: AuctionSpec, bidding: TwoGroupChain, silent: TwoGroupChain,
-                       bids: Callable) -> _CountedOccupancy:
+def _row_block(spec: AuctionSpec) -> int:
+    """Bid indices per row table of a counted player's chains (rivals stop at Q + 1)."""
+    return min(int(max_bids(spec)) + 1, _ROW_BLOCK) if spec.is_ascending else _ROW_BLOCK
+
+
+def _expected(spec: AuctionSpec, model: _CountedModel) -> tuple[tuple, tuple]:
+    """Expected payoffs of a counted-player model, and the solve's notes:
+    the outcome, affine in the total, at each (leader, count) cell's mean
+    final bid index indexed_wins / wins, weighted by the cell's wins."""
+    occupancy = _counted_occupancy(spec, model)
+    wins = occupancy.wins
+    total = np.divide(occupancy.indexed_wins, wins, out=np.zeros_like(wins), where=wins > 0)
+    payoffs = model.outcome(np.array([[True], [False]]), np.arange(wins.shape[1]), total)
+    return tuple(float((wins * payoff).sum()) for payoff in payoffs), occupancy.notes
+
+
+def _counted_occupancy(spec: AuctionSpec, model: _CountedModel) -> _CountedOccupancy:
     """Solve a counted-player chain: one sweep over the count at a fixed
     price, where rows and predicate ignore the bid index, else bid by bid."""
+    bidding, silent, bids, _ = model
     if not spec.is_ascending:
         return _counted_by_level(bidding, silent, bids)
     # A never holds more bids than the first count at which it passes on
@@ -781,12 +793,9 @@ def _counted_occupancy(spec: AuctionSpec, bidding: TwoGroupChain, silent: TwoGro
     # one. A lone A under the uniform rule cannot outbid itself, so each of
     # its bids after the first follows a rival bid, and rivals stop after
     # bid Q+1: it places at most Q+2 bids.
-    cap = math.inf
-    if bidding.group_a_size == 1 and bidding.tie_rule == "uniform":
-        cap = int(max_bids(spec)) + 2
+    cap = int(max_bids(spec)) + 2 if bidding.tie_rule == "uniform" else math.inf
     top = next(c for c in itertools.count(1) if c >= cap or not bids(c, 2))
-    block = min(int(max_bids(spec)) + 1, _ROW_BLOCK)
-    return _counted_by_bid_index(bidding, silent, bids, top, block)
+    return _counted_by_bid_index(bidding, silent, bids, top, _row_block(spec))
 
 
 def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
@@ -808,7 +817,7 @@ def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
     # [opening, A leads, B leads]; A bids the opening surely, so its absorb == 0
     (_, *silent_rows), (opening, *bidding_rows) = (
         [TransitionRow(*row) for row in chain._kernel().tolist()] for chain in (silent, bidding))
-    levels = []  # per level: wins, visits and index-weighted wins, each of A then B
+    levels = []  # per level: wins and index-weighted wins, each of A then B
     lifted_n = lifted_m = 0.0  # occupancy and index-weighted occupancy lifted into level c
     for c in itertools.count():
         active = bids(c, 2)
@@ -818,13 +827,12 @@ def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
         leave_b = b_row.to_a + b_row.absorb
         other_n = ((opening.to_b if c == 0 else 0.0) + led_n * a_row.to_b) / leave_b
         other_m = (other_n + led_m * a_row.to_b) / leave_b
-        levels.append((led_n * a_row.absorb, other_n * b_row.absorb, led_n, other_n,
+        levels.append((led_n * a_row.absorb, other_n * b_row.absorb,
                        led_m * a_row.absorb, other_m * b_row.absorb))
         lifted_n = led_n * a_row.to_a + other_n * b_row.to_a
         lifted_m = led_m * a_row.to_a + other_m * b_row.to_a
         if not active or c and lifted_n < _LIVE_MASS_TOL:
-            wins, visits, indexed = np.array(levels).T.reshape(3, 2, -1)
-            return _CountedOccupancy(wins, visits.sum(1), indexed.sum(1))
+            return _CountedOccupancy(*np.array(levels).T.reshape(2, 2, -1))
 
 
 def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
@@ -834,8 +842,8 @@ def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: C
 
     Steps come a merged chunk of rows at a time (_counted_rows). Within a
     chunk the loop only applies each step's kernel, two ufunc calls into
-    preallocated buffers; wins, index-weighted wins, visits and the stop
-    test then come out of the chunk's occupancies with numpy, cut at the
+    preallocated buffers; wins, index-weighted wins and the stop test
+    then come out of the chunk's occupancies with numpy, cut at the
     first step whose live mass is below the tolerance. Stopping at
     _MAX_STEPS logs a warning and adds a note.
 
@@ -855,7 +863,7 @@ def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: C
     flows = np.empty((2, 2, width))  # [leader, destination, count]
     from_a, from_b = flows
     occupancy[0, 0, 1], occupancy[0, 1, 0] = opening.to_a, opening.to_b
-    visits, wins, indexed = occupancy[0].copy(), np.zeros((2, width)), np.zeros((2, width))
+    wins, indexed = np.zeros((2, width)), np.zeros((2, width))
     notes = ()
     t = 1  # the step the chunk starts at
     for rows in _counted_rows(bidding, silent, bids, top, block):
@@ -869,7 +877,6 @@ def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: C
         won = occupancy[:n] * rows[:n, :, 2]
         wins += won.sum(0)
         indexed += (np.arange(t, t + n)[:, None, None] * won).sum(0)
-        visits += occupancy[1:n + 1].sum(0)
         t += n
         if below.size:
             break
@@ -881,7 +888,7 @@ def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: C
                 "counted-player recurrence stopped at %d bids with live mass %.3e", t - 1, live)
             notes = (f"stopped at the step cap after {t - 1} bids with live mass {live:.3e}",)
             break
-    return _CountedOccupancy(wins, visits.sum(1), indexed.sum(1), notes)
+    return _CountedOccupancy(wins, indexed, notes)
 
 
 def _counted_rows(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable, top: int,

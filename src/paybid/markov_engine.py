@@ -272,12 +272,17 @@ def first_bid_distribution(chain: TwoGroupChain, conditioned: bool = True):
     bid.
     """
     row = chain.opening_row()
-    mass = row.to_a + row.to_b
+    split = _opening_split(row)
+    return split if conditioned else np.array([row.to_a, row.to_b])
+
+
+def _opening_split(opening: TransitionRow) -> np.ndarray:
+    """(P(A leads), P(B leads)) after an opening bid drawn from the opening
+    row, given that one is placed; raises if no player ever places it."""
+    mass = opening.to_a + opening.to_b
     if mass <= 0.0:
         raise NonAbsorbingChainError("no opening bid is possible in this chain")
-    if not conditioned:
-        return np.array([row.to_a, row.to_b])
-    return np.array([row.to_a / mass, row.to_b / mass])
+    return np.array([opening.to_a / mass, opening.to_b / mass])
 
 
 @dataclass
@@ -329,10 +334,7 @@ def absorption_closed_form(chain: TwoGroupChain, q: int = 2) -> AbsorptionSummar
     ]) / det
     absorb = np.array([row_a.absorb, row_b.absorb])
     absorption_probs = n_mat * absorb[None, :]
-    mass = opening.to_a + opening.to_b
-    if mass <= 0.0:
-        raise NonAbsorbingChainError("no opening bid is possible in this chain")
-    start = np.array([opening.to_a / mass, opening.to_b / mass])
+    start = _opening_split(opening)
     bids_by_group = start @ n_mat
     expected_bids = float(bids_by_group.sum())
     win_probs = start @ absorption_probs

@@ -8,10 +8,11 @@ simulate_shill and simulate_committed share one sampling loop that runs many
 trials of the reduced dynamics in vectorized lockstep: each round every live
 trial draws one uniform against the row the analytic code already builds,
 every one of them from TwoGroupChain._kernel. simulate_chain runs one
-chain; the shill and the committed player run the bidding and silent chains
-and stop rule their exact solvers share. Sharing the rows, they check the
-sums over those rows (closed form, recurrence, dynamic programs), fast
-enough for tight cross-checks.
+chain; the shill and the committed player each run the one declaration
+their exact solvers read (asymmetry_models._CountedModel): its bidding and
+silent chains, its stop rule and its payoffs. Sharing rows and payoffs,
+they check the sums over those rows (closed form, recurrence, dynamic
+programs), fast enough for tight cross-checks.
 
 Randomness is counter-based (Philox). estimate gives every trial its own
 spawned stream, so results do not depend on how work is batched; the
@@ -21,15 +22,14 @@ just as reproducible for a fixed trial count.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .asymmetry_models import _committed_bids, _committed_chains, shill_chain
-from .core_model import AuctionSpec, max_bids, symmetric_beta
+from .asymmetry_models import CommittedPolicy, _committed_model, _row_block, _shill_model
+from .core_model import AuctionSpec, symmetric_beta
 from .markov_engine import _ROW_BLOCK, TwoGroupChain, _leader_tables
 
 __all__ = [
@@ -233,8 +233,9 @@ def simulate_chain(
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    block = _ROW_BLOCK if chain.horizon is None else min(chain.horizon, _ROW_BLOCK)
     success, winner_a, bids_a, total_bids = _simulate_counted(
-        chain, chain, lambda count, q: True, trials, rng, max_rounds, chain.horizon)
+        chain, chain, lambda count, q: True, trials, rng, max_rounds, block)
     successes = int(success.sum())
     if successes == 0:
         raise RuntimeError("no trial received an opening bid")
@@ -270,7 +271,7 @@ _MAX_SHILL_ROUNDS = 1_000_000
 
 def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
                       trials: int, rng: np.random.Generator, max_rounds: int,
-                      horizon: Optional[int]) -> tuple[np.ndarray, ...]:
+                      block: int) -> tuple[np.ndarray, ...]:
     """Lockstep trials of a two-group chain whose rows switch on A's count.
 
     Each trial counts group A's placed bids. The opening bid is drawn
@@ -280,9 +281,8 @@ def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Calla
     holds, the silent one otherwise), the rows evolve_recurrence and the
     counted-player solvers step over: below absorb the auction ends, below
     absorb + to_a group A places the bid, otherwise group B does. Row tables
-    need cover only the bid indices up to the horizon, if there is one.
-    Returns, per trial, whether the auction opened, whether A won, A's bids
-    and all bids.
+    come `block` bid indices at a time. Returns, per trial, whether the
+    auction opened, whether A won, A's bids and all bids.
     """
     opening = bidding.opening_row()
     u = rng.random(trials)
@@ -294,7 +294,6 @@ def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Calla
     bids_a = np.zeros(trials, dtype=np.int64)
     total_bids = np.zeros(trials, dtype=np.int64)
     # each step's rows[2 * (A bids) + (A leads), to_a/to_b/absorb]
-    block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
     pairs = zip(_leader_tables(silent, block), _leader_tables(bidding, block))
     rows = (by_state for pair in pairs
             for by_state in np.concatenate([table[::-1] for table in pair]).transpose(2, 0, 1))
@@ -316,6 +315,16 @@ def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Calla
         if live.size == 0:
             break
     return success, won, bids_a, total_bids
+
+
+def _simulate_model(spec: AuctionSpec, model, trials: int, rng: np.random.Generator,
+                    max_rounds: int) -> tuple:
+    """Per-trial payoffs of a counted player declared by an asymmetry model
+    (_shill_model, _committed_model): _simulate_counted runs its chains and
+    stop rule, and the model's outcome prices each finished trial."""
+    _, won, own, total = _simulate_counted(model.bidding, model.silent, model.bids, trials, rng,
+                                           max_rounds, _row_block(spec))
+    return model.outcome(won, own, total)
 
 
 @dataclass(frozen=True)
@@ -342,12 +351,10 @@ class ShillSim:
 def simulate_shill(spec: AuctionSpec, policy, trials: int, seed: int = 0) -> ShillSim:
     """Monte Carlo of the shill model including the entry coin.
 
-    Trials where the shill stays out contribute exactly zero extra profit.
-    Entered trials run on shill_chain's two phases as a counted player
-    (_simulate_counted): the active phase while bids remain in the budget,
-    the spent one from the last budgeted bid on. Profit is legitimate fees
-    plus the final price when a legitimate player wins, minus the item in
-    that case.
+    Trials where the shill stays out contribute exactly zero extra profit,
+    as do all trials of a shill that never bids. Entered trials run on the
+    shill's one declaration (asymmetry_models._shill_model), the chains,
+    stop rule and payoffs shill_profit solves exactly.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -356,18 +363,10 @@ def simulate_shill(spec: AuctionSpec, policy, trials: int, seed: int = 0) -> Shi
     profits = np.zeros(trials)
     shill_won = np.zeros(trials, dtype=bool)
     n_in = int(entered.sum())
-    if policy.bid_budget < 1 or n_in == 0:
-        return ShillSim(profits=profits, shill_won=shill_won, entered=entered)
-
-    phases = shill_chain(spec, policy)
-    budget = policy.bid_budget
-    horizon = int(max_bids(spec)) + 1 if spec.is_ascending else None
-    _, won, shill_bids, total_bids = _simulate_counted(
-        phases.active, phases.spent, lambda count, q: count < budget, n_in, rng,
-        _MAX_SHILL_ROUNDS, horizon)
-    final_price = spec.increment * total_bids if spec.is_ascending else spec.price
-    profits[entered] = spec.fee * (total_bids - shill_bids) + (final_price - spec.value) * ~won
-    shill_won[entered] = won
+    model = _shill_model(spec, policy)
+    if n_in and not isinstance(model, str):
+        profits[entered], shill_won[entered], _ = _simulate_model(
+            spec, model, n_in, rng, _MAX_SHILL_ROUNDS)
     return ShillSim(profits=profits, shill_won=shill_won, entered=entered)
 
 
@@ -396,7 +395,7 @@ class CommittedSim:
 
     @property
     def max_player_loss(self) -> float:
-        return float(-self.player_profits.min())
+        return float(0.0 - self.player_profits.min())  # 0.0 - x is never -0.0
 
     @property
     def committed_win_prob(self) -> float:
@@ -407,32 +406,18 @@ def simulate_committed(spec: AuctionSpec, retail_multiplier: float, trials: int,
                        seed: int = 0, max_rounds: int = 10_000_000) -> CommittedSim:
     """Vectorized trajectories of the committed player against symmetric rivals.
 
-    Runs on the dynamic program's bidding and silent chains and stop rule as
-    a counted player (_simulate_counted). Losing paths top up to retail with
-    fees credited. When even the opening bid would overshoot the backstop
-    every outcome is zero, as in committed_player_profit.
+    Runs on the committed player's one declaration
+    (asymmetry_models._committed_model), the chains, stop rule and payoffs
+    committed_player_profit solves exactly; the multiplier is checked as
+    CommittedPolicy checks it. Where that solve reports zero, so does every
+    trial.
     """
-    if not math.isfinite(retail_multiplier):
-        raise ValueError(f"retail multiplier must be finite, got {retail_multiplier}")
-    if retail_multiplier <= 1.0:
-        raise ValueError("the committed strategy needs a retail price above the item value")
+    model = _committed_model(spec, CommittedPolicy(retail_multiplier).retail_multiplier)
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    if not _committed_bids(spec, retail_multiplier, 0, 1):
+    if isinstance(model, str):
         zeros = np.zeros(trials)
         return CommittedSim(zeros, zeros.copy(), np.zeros(trials, dtype=bool),
                             np.zeros(trials, dtype=np.int64))
-
-    horizon = int(max_bids(spec)) + 1 if spec.is_ascending else None
-    _, won, own, total = _simulate_counted(
-        *_committed_chains(spec), functools.partial(_committed_bids, spec, retail_multiplier),
-        trials, rng, max_rounds, horizon)
-    v, b, retail = spec.value, spec.fee, retail_multiplier * spec.value
-    price = spec.increment * total if spec.is_ascending else spec.price
-    return CommittedSim(
-        player_profits=np.where(won, v - own * b - price, v - retail),
-        auctioneer_profits=(b * total + price - v) + np.where(won, 0.0, (retail - own * b) - v),
-        committed_won=won,
-        total_bids=total,
-    )
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return CommittedSim(*_simulate_model(spec, model, trials, rng, max_rounds))

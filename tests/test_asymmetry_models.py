@@ -1,7 +1,6 @@
 """Asymmetric player pools: misperception, uncertainty, fee and value splits,
 collusion, shills, committed players, and the full-information system."""
 
-import functools
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -35,8 +34,8 @@ from paybid.asymmetry_models import (
     uncertain_population_beta,
     valuation_asymmetry_chain,
 )
-from paybid.asymmetry_models import (_MERGE_CHUNK, _committed_bids, _committed_chains,
-                                     _counted_occupancy)
+from paybid.asymmetry_models import (_MERGE_CHUNK, _committed_model, _counted_occupancy,
+                                     _shill_model)
 
 FIX = AuctionSpec.fixed_price(100, 1, 0, 50)
 ASC = AuctionSpec.ascending(100, 1, 0.25, 50)
@@ -514,18 +513,23 @@ def test_counted_solvers_build_row_tables_in_bounded_blocks(monkeypatch, solve):
     assert spans and max(spans) <= _ROW_BLOCK
 
 
-def stepped_counted(spec, bidding, silent, bids):
+def stepped_counted(spec, model):
     """The counted-player occupancy one bid at a time, the reference for the
-    chunked stepper: (wins, visits, indexed wins, the step it stopped at)."""
+    chunked stepper: (wins and index-weighted wins per leader and count, the
+    brute-force expectation of model.outcome over every (leader, count, bid
+    index) end, the step it stopped at)."""
+    bidding, silent, bids, outcome = model
     top = next(c for c in itertools.count(1) if not bids(c, 2))
     steps = int(max_bids(spec)) + top + 2  # every bidder has stopped by then
     tables = [{leader: np.array(chain.row_table(leader, 2, 2 + steps)) for leader in "AB"}
               for chain in (bidding, silent)]
     counts = np.arange(top + 1)
+    a_won = np.array([[True], [False]])
     opening = bidding.opening_row()
     live = np.zeros((2, top + 1))
     live[0, 1], live[1, 0] = opening.to_a, opening.to_b
-    visits, wins, indexed = live.copy(), np.zeros_like(live), np.zeros_like(live)
+    wins, indexed = np.zeros_like(live), np.zeros_like(live)
+    expected = 0.0
     for t in range(1, steps + 1):
         on = np.broadcast_to(bids(counts, t + 1), counts.shape)
         rows = np.array([[np.where(on, tables[0][leader][k, t - 1], tables[1][leader][k, t - 1])
@@ -533,28 +537,28 @@ def stepped_counted(spec, bidding, silent, bids):
         won = live * rows[:, 2]
         wins += won
         indexed += t * won
+        ends = outcome(a_won, counts, np.full(won.shape, t))
+        expected = expected + np.array([(won * payoff).sum() for payoff in ends])
         moved = live[0] * rows[0, :2] + live[1] * rows[1, :2]
         live = np.zeros_like(live)
         live[0, 1:] = moved[0, :-1]  # A's bid lifts its count
         live[1] = moved[1]
-        visits += live
         if live.sum() < 1e-15:
-            return wins, visits.sum(1), indexed.sum(1), t
+            return wins, indexed, expected, t
     raise AssertionError("the reference did not finish")
 
 
 def counted_case(spec, kind, x):
-    """(bidding chain, silent chain, predicate) of a shill with budget x[0]
-    and x[1] identities, or of a committed player with multiplier x."""
+    """The model of a shill with budget x[0] and x[1] identities, or of a
+    committed player with multiplier x."""
     if kind == "shill":
-        phases = shill_chain(spec, ShillPolicy(1.0, *x))
-        return phases.active, phases.spent, lambda count, q: count < x[0]
-    return (*_committed_chains(spec), functools.partial(_committed_bids, spec, x))
+        return _shill_model(spec, ShillPolicy(1.0, *x))
+    return _committed_model(spec, x)
 
 
 def assert_counted_matches_the_loop(monkeypatch, spec, kind, x):
-    bidding, silent, bids = counted_case(spec, kind, x)
-    wins, visits, indexed, stop = stepped_counted(spec, bidding, silent, bids)
+    model = counted_case(spec, kind, x)
+    wins, indexed, _, stop = stepped_counted(spec, model)
     chunks = []
     merged = asymmetry_models._counted_rows
 
@@ -564,9 +568,8 @@ def assert_counted_matches_the_loop(monkeypatch, spec, kind, x):
             yield rows
 
     monkeypatch.setattr(asymmetry_models, "_counted_rows", spy)
-    got = _counted_occupancy(spec, bidding, silent, bids)
+    got = _counted_occupancy(spec, model)
     assert got.wins == pytest.approx(wins, rel=1e-12, abs=0)
-    assert got.visits == pytest.approx(visits, rel=1e-12, abs=0)
     assert got.indexed_wins == pytest.approx(indexed, rel=1e-12, abs=0)
     # the stepper reads no chunk past the one holding the stopping step
     assert sum(chunks[:-1]) < stop <= sum(chunks)
@@ -595,15 +598,29 @@ def test_lone_counted_player_places_at_most_q_plus_two_bids():
     # TINY (Q = 9): the committed player's stop rule allows 27 bids at
     # alpha = 3, but a player who cannot outbid itself places at most Q + 2
     spec = AuctionSpec.ascending(10, 1, 1, 3)
-    bidding, silent, bids = counted_case(spec, "committed", 3.0)
-    wins, visits, indexed, _ = stepped_counted(spec, bidding, silent, bids)
+    model = counted_case(spec, "committed", 3.0)
+    wins, indexed, _, _ = stepped_counted(spec, model)
     assert wins.shape == (2, 28)
-    got = _counted_occupancy(spec, bidding, silent, bids)
-    assert got.wins.shape == (2, int(max_bids(spec)) + 3)
-    assert not wins[:, got.wins.shape[1]:].any()  # the uncapped reference puts no mass there
-    assert got.wins == pytest.approx(wins[:, :got.wins.shape[1]], rel=1e-12, abs=0)
-    assert got.visits == pytest.approx(visits, rel=1e-12, abs=0)
-    assert got.indexed_wins == pytest.approx(indexed, rel=1e-12, abs=0)
+    got = _counted_occupancy(spec, model)
+    width = int(max_bids(spec)) + 3
+    assert got.wins.shape == got.indexed_wins.shape == (2, width)
+    # the uncapped reference puts no mass there
+    assert not wins[:, width:].any() and not indexed[:, width:].any()
+    assert got.wins == pytest.approx(wins[:, :width], rel=1e-12, abs=0)
+    assert got.indexed_wins == pytest.approx(indexed[:, :width], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("spec", [ASC, AuctionSpec.ascending(10, 1, 1, 3)], ids=["ASC", "TINY"])
+@pytest.mark.parametrize("kind, x", [("shill", (5, 1)), ("shill", (10, 2)), ("committed", 1.5)],
+                         ids=["shill", "shill-identities2", "committed"])
+def test_expected_payoffs_match_the_brute_force_ends(spec, kind, x):
+    # each payoff is affine in the total for a fixed winner and count, so
+    # the mean end of each (leader, count) cell prices it exactly
+    model = counted_case(spec, kind, x)
+    _, _, want, _ = stepped_counted(spec, model)
+    got, notes = asymmetry_models._expected(spec, model)
+    assert notes == ()
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
 
 def test_huge_budget_or_backstop_solves_on_the_capped_count_axis():
@@ -618,17 +635,17 @@ def test_fixed_price_committed_sweep_ends_with_its_live_mass():
     # past a few thousand counts is below the tolerance, so the sweep stops
     # there and asks the stop rule once per level it reaches
     calls = 0
+    model = _committed_model(FIX, 1e5)
 
     def bids(count, q):
         nonlocal calls
         calls += 1
         if calls > 100_000:
             raise AssertionError("the stop rule was asked more than 10^5 times")
-        return _committed_bids(FIX, 1e5, count, q)
+        return model.bids(count, q)
 
-    got = _counted_occupancy(FIX, *_committed_chains(FIX), bids)
-    want = _counted_occupancy(FIX, *_committed_chains(FIX),
-                              functools.partial(_committed_bids, FIX, 1e3))
+    got = _counted_occupancy(FIX, model._replace(bids=bids))
+    want = _counted_occupancy(FIX, _committed_model(FIX, 1e3))
     assert got.wins.shape[1] < 10_000
     np.testing.assert_array_equal(got.wins, want.wins)
     np.testing.assert_array_equal(got.indexed_wins, want.indexed_wins)
@@ -764,6 +781,13 @@ def both_phases(phases):
     return [phases.active, phases.spent]
 
 
+def committed_chains(spec):
+    """The committed player's bidding and silent chains, which do not
+    depend on the multiplier."""
+    model = _committed_model(spec, 1.5)
+    return [model.bidding, model.silent]
+
+
 def both_specs(build):
     return [pytest.param(spec, build, id=name) for name, spec in (("FIX", FIX), ("ASC", ASC))]
 
@@ -777,7 +801,7 @@ def both_specs(build):
       for rule in ("many_bidders", "single_bidder")),
     *(param for ids in (1, 2) for param in both_specs(
         lambda spec, ids=ids: both_phases(shill_chain(spec, ShillPolicy(1.0, 10, ids))))),
-    *both_specs(lambda spec: list(_committed_chains(spec))),
+    *both_specs(lambda spec: committed_chains(spec)),
 ])
 @pytest.mark.parametrize("leader", [None, "A", "B"])
 def test_betas_of_an_array_of_bid_indices_match_scalar_calls(spec, build, leader):
@@ -799,7 +823,7 @@ def test_betas_of_an_array_of_bid_indices_match_scalar_calls(spec, build, leader
       for rule in ("many_bidders", "single_bidder")),
     lambda: [chain for ids in (1, 2)
              for chain in both_phases(shill_chain(FIX, ShillPolicy(1.0, 10, ids)))],
-    lambda: list(_committed_chains(FIX)),
+    lambda: committed_chains(FIX),
     lambda: [two_group_chain(FIX, GroupProfile(a), GroupProfile(50 - a)) for a in (0, 50)],
 ], ids=["underestimate", "mixed", "bidfee", "valuation", "many_bidders", "single_bidder",
         "shill", "committed", "empty-group"])
@@ -886,7 +910,7 @@ def accuracy_chain(spec, case: str):
         return bidfee_asymmetry_chain(spec, 5, bidfee_fee_a(spec, case))
     if case == "shill":
         return shill_chain(spec, ShillPolicy(1.0, 5, 2)).active
-    return _committed_chains(spec)[0]
+    return committed_chains(spec)[0]
 
 
 FIXED_ONLY = ["valuation", "collusion many_bidders", "collusion single_bidder",

@@ -20,7 +20,7 @@ from paybid.core_model import AuctionSpec
 from paybid.markov_engine import absorption_closed_form
 from paybid.asymmetry_models import (
     ShillPolicy,
-    _committed_chains,
+    _committed_model,
     bidfee_asymmetry_chain,
     collusion_chain,
     mixed_estimates_chain,
@@ -131,7 +131,8 @@ SMALL_ASCENDING = AuctionSpec.ascending(10, 1, 1, 6)  # last rational bid: 10
                          ids=["ascending", "fixed"])
 def test_committed_chains_match_the_player_level_rows(spec):
     # past the last rational bid the regulars fall silent: q = 12 covers it
-    for chain in _committed_chains(spec):
+    model = _committed_model(spec, 1.5)
+    for chain in (model.bidding, model.silent):
         assert_rows_match(chain, 12)
 
 

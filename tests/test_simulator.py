@@ -10,6 +10,7 @@ from paybid.core_model import AuctionSpec
 from paybid.markov_engine import absorption_closed_form, evolve_recurrence
 from paybid.asymmetry_models import (ShillPolicy, committed_player_profit, CommittedPolicy,
                                      underestimate_chain, valuation_asymmetry_chain)
+from paybid.asymmetry_models import _committed_model, _expected, _shill_model
 from paybid.simulator import (
     PlayerPolicy,
     estimate,
@@ -19,6 +20,7 @@ from paybid.simulator import (
     simulate_shill,
     symmetric_policies,
 )
+from paybid.simulator import _simulate_model
 
 SMALL = AuctionSpec.ascending(10, 1, 1, 5)
 FIX = AuctionSpec.fixed_price(100, 1, 0, 50)
@@ -217,6 +219,29 @@ def test_committed_loss_never_exceeds_backstop_gap():
     assert np.allclose(lost, -5.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_committed_simulation_is_zero_where_the_backstop_does_not_beat_the_item(alpha):
+    # the dynamic program reports zero at 0 < alpha <= 1, and so does the simulator
+    dp = committed_player_profit(TINY, CommittedPolicy(alpha))
+    assert (dp.player_profit, dp.auctioneer_profit, dp.committed_win_prob) == (0.0, 0.0, 0.0)
+    mc = simulate_committed(TINY, alpha, 100, seed=1)
+    assert (mc.player_profits == 0.0).all()
+    assert (mc.auctioneer_profits == 0.0).all()
+    assert not mc.committed_won.any()
+    assert (mc.total_bids == 0).all()
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_committed_simulation_rejects_a_nonpositive_multiplier(alpha):
+    with pytest.raises(ValueError, match="retail multiplier must be positive"):
+        simulate_committed(TINY, alpha, 10, seed=1)
+
+
+def test_max_player_loss_is_positive_zero_when_no_trial_loses():
+    mc = simulate_committed(AuctionSpec.fixed_price(100, 1, 99.5, 5), 1.001, 100, seed=1)
+    assert math.copysign(1.0, mc.max_player_loss) == 1.0
+
+
 @pytest.mark.parametrize("alpha", [math.inf, math.nan])
 def test_committed_simulation_rejects_a_non_finite_multiplier(alpha):
     # a small round cap keeps an unchecked infinite backstop from running long
@@ -238,3 +263,23 @@ def test_trial_counts_validated():
         simulate_chain(underestimate_chain(FIX, 0), 0)
     with pytest.raises(ValueError):
         simulate_shill(ASC, ShillPolicy(1.0, 5), 0)
+
+
+@pytest.mark.parametrize("spec", [FIX, ASC], ids=["FIX", "ASC"])
+@pytest.mark.parametrize("build", [
+    lambda spec: _shill_model(spec, ShillPolicy(1.0, 10)),
+    lambda spec: _shill_model(spec, ShillPolicy(1.0, 10, identities=2)),
+    lambda spec: _committed_model(spec, 1.5),
+], ids=["shill", "shill-identities2", "committed"])
+def test_counted_simulation_matches_the_exact_expectation(spec, build):
+    # one model feeds both sides, so every payoff of the simulated trials
+    # must average to the exact solve's expectation of it; rel covers a
+    # payoff that never varies (a two-identity shill spends its whole budget)
+    model = build(spec)
+    trials = 20_000
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(22)))
+    sims = _simulate_model(spec, model, trials, rng, 1_000_000)
+    exact, _ = _expected(spec, model)
+    for sim, want in zip(sims, exact, strict=True):
+        assert sim.mean() == pytest.approx(want, rel=1e-12,
+                                           abs=3 * sim.std(ddof=1) / math.sqrt(trials))
