@@ -612,8 +612,10 @@ def shill_profit(spec: AuctionSpec, policy: ShillPolicy) -> ShillOutcome:
     if isinstance(model, str):
         return ShillOutcome(0.0, 0.0, 0.0, 0.0, 0.0, notes=(model,))
     (profit, won, shill_bids), notes = _expected(spec, model)
+    # the wins sum to one only to within rounding, so a shill that places its
+    # whole budget on every path can come out an ulp or two above it
     return ShillOutcome(policy.entry_prob * profit, policy.entry_prob * won, profit, won,
-                        shill_bids, notes)
+                        min(shill_bids, float(policy.bid_budget)), notes)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NoReturn, Optional
+from typing import Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -536,9 +536,8 @@ def _load_traces(args) -> tuple:
                        "traces_skipped_inconsistent": inconsistent}
 
 
-def _trace_report(args, records: list) -> tuple:
+def _trace_report(args, records: Sequence) -> tuple:
     """(rows, meta) of the report args.report asks for."""
-    by_id = {r.auction_id: r for r in records}
     rows: list = []
     meta: dict = {}
     if args.report == "margins":
@@ -554,6 +553,7 @@ def _trace_report(args, records: list) -> tuple:
         histories, skipped = _load_traces(args)
         meta.update(skipped)
         if args.report == "aggression":
+            by_id = {r.auction_id: r for r in records}
             stats_by_auction = {}
             for auction_id, bids in sorted(histories.items()):
                 record = by_id.get(auction_id)

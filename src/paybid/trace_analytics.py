@@ -21,10 +21,14 @@ import csv
 import itertools
 import logging
 import math
+import operator
+from array import array
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
 from sys import intern
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional
 
 __all__ = [
     "AuctionOutcomeRecord",
@@ -112,11 +116,12 @@ def _slot_constructor(cls):
     each slot through its member descriptor.
 
     The generated __init__ of a frozen dataclass goes through
-    object.__setattr__ once per field; the parsers build records by the
-    hundred thousand and skip that. The instance is the class's own, so its
-    fields, equality, hashing and FrozenInstanceError are unchanged. The body
-    is unrolled with exec, as dataclasses does for __init__, since a loop over
-    the descriptors costs as much as the call it replaces.
+    object.__setattr__ once per field; records and events are built by the
+    hundred thousand as they are read and skip that. The instance is the
+    class's own, so its fields, equality, hashing and FrozenInstanceError
+    are unchanged. The body is unrolled with exec, as dataclasses does for
+    __init__, since a loop over the descriptors costs as much as the call it
+    replaces.
     """
     names = [f.name for f in fields(cls)]
     namespace = {"_new": object.__new__, "_cls": cls}
@@ -161,15 +166,15 @@ class AuctionOutcomeRecord:
 _new_record = _slot_constructor(AuctionOutcomeRecord)
 
 
-def _record_from_fields(row: Sequence[str]) -> AuctionOutcomeRecord:
-    """One record, its fields converted in column order so a row with
-    several faults is diagnosed by its first. Item, description and winner
-    repeat across rows and are interned, the prices and bid counts shared;
-    the ids, retail prices and end times are nearly all distinct and are
-    not."""
+def _record_fields(row: Sequence[str]) -> tuple:
+    """One record's fields in field order, converted in column order so a
+    row with several faults is diagnosed by its first. Item, description
+    and winner repeat across rows and are interned, the prices and bid
+    counts shared; the ids, retail prices and end times are nearly all
+    distinct and are not."""
     if len(row) != _OUTCOME_FIELDS:
         raise ValueError(f"expected {_OUTCOME_FIELDS} fields, got {len(row)}")
-    return _new_record(
+    return (
         int(row[0]),
         int(row[1]),
         intern(row[2]),
@@ -195,16 +200,18 @@ def parse_outcome_rows(
     delimiter: str = "\t",
     has_header: bool = False,
     diagnostics: Optional[list] = None,
-) -> list:
+) -> Sequence[AuctionOutcomeRecord]:
     """Parse outcome rows; malformed rows are skipped and diagnosed.
 
     diagnostics, when given, receives one message per rejected row. Without
     it rejects are logged as warnings. A short row, a non-numeric amount, or
     a bad flag rejects only that row, never the whole file. Tab-separated
     rows are read without CSV quoting, so a field keeps any double quotes it
-    holds; comma-separated rows follow CSV quoting.
+    holds; comma-separated rows follow CSV quoting. Returns a read-only
+    sequence of records, equal to the list of them, that holds each row as
+    a tuple of its fields and builds a record when one is read.
     """
-    records = []
+    rows = []
     quoting = csv.QUOTE_NONE if delimiter == "\t" else csv.QUOTE_MINIMAL
     reader = csv.reader(lines, delimiter=delimiter, quoting=quoting)
     for lineno, row in enumerate(reader, start=1):
@@ -213,14 +220,14 @@ def parse_outcome_rows(
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         try:
-            records.append(_record_from_fields(row))
+            rows.append(_record_fields(row))
         except ValueError as exc:
             message = f"line {lineno}: {exc}"
             if diagnostics is not None:
                 diagnostics.append(message)
             else:
                 log.warning("skipping outcome row, %s", message)
-    return records
+    return _OutcomeTable(rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,6 +243,104 @@ class BidEvent:
 
 
 _new_bid = _slot_constructor(BidEvent)
+
+
+# ---------------------------------------------------------------------------
+# Parsed data the cyclic collector does not walk: each of its full passes
+# walks every record alive, but a tuple of numbers and strings is untracked
+# after its first young pass, and an array is one object with nothing inside.
+
+
+class _BuiltOnRead(Sequence):
+    """A read-only sequence of items that _make builds from plain columns
+    when read. It is equal to the list of its items; a slice is that list."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, *columns):
+        self._columns = columns
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self._make(*[column[index] for column in self._columns])
+
+    def __iter__(self):
+        return map(self._make, *self._columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _BuiltOnRead)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+class _OutcomeTable(_BuiltOnRead):
+    """Outcome records held as one list of tuples of their fields."""
+
+    __slots__ = ()
+    _make = staticmethod(lambda row: _new_record(*row))
+
+
+class _BidHistory(_BuiltOnRead):
+    """Bid events held as one column per BidEvent field."""
+
+    __slots__ = ()
+    _make = staticmethod(_new_bid)
+
+
+_RECORD_NAMES = [f.name for f in fields(AuctionOutcomeRecord)]
+_RECORD_FIELDS = operator.attrgetter(*_RECORD_NAMES)
+
+
+def _outcome_rows(records: Sequence[AuctionOutcomeRecord]) -> list:
+    """The records as tuples of their fields: a parsed table's own, or those
+    of any other sequence of records, read once."""
+    if type(records) is _OutcomeTable:
+        return records._columns[0]
+    return list(map(_RECORD_FIELDS, records))
+
+
+def _row_getter(names: str) -> Callable:
+    """An itemgetter of the named (space-separated) record fields of a row."""
+    return operator.itemgetter(*[_RECORD_NAMES.index(name) for name in names.split()])
+
+
+_BID_FIELDS = operator.attrgetter(*[f.name for f in fields(BidEvent)])
+_BID_TYPECODES = ("q", None, "q", "q", "q", "d")  # usernames stay a tuple
+
+
+def _column(code: Optional[str], values: tuple) -> Sequence:
+    """values in an array of typecode code if it holds each as an equal
+    value, else the tuple itself: 'q' refuses all but ints below 2**63 in
+    size, and 'd' gets only floats, since it would round a large int."""
+    if code is None or (code == "d" and not set(map(type, values)) <= {float}):
+        return values
+    try:
+        return array(code, values)
+    except (TypeError, OverflowError):
+        return values
+
+
+def _bid_columns(bids: Sequence[BidEvent]) -> tuple:
+    """One column per BidEvent field: a reconstructed history's own, or
+    those of any other sequence of events, read once."""
+    if type(bids) is _BidHistory:
+        return bids._columns
+    columns = list(zip(*map(_BID_FIELDS, bids))) or [()] * len(_BID_TYPECODES)
+    return tuple(map(_column, _BID_TYPECODES, columns))
+
+
+def _sorted_by(key: Sequence, *columns: Sequence) -> Sequence:
+    """The columns in a stable sort by key; as they are if key is in order,
+    as a reconstructed history's bid numbers and stamps are."""
+    values = list(key)
+    if values == sorted(values):
+        return columns
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return [[column[i] for i in order] for column in columns]
 
 
 def _bid_fields(piece: str, i: int) -> tuple:
@@ -376,7 +481,9 @@ def reconstruct_bids(probes: Sequence[ProbeLine]):
     missing count), where missing counts the interior bid numbers no probe
     ever showed. A probe revealing a brand new bid with a number below the
     highest already seen means the feed skipped backwards; that is an error,
-    not a gap.
+    not a gap. The bids are a read-only sequence, equal to the list of
+    them, that holds each field as a column and builds an event when one is
+    read.
     """
     last_stamp = None
     for p in probes:
@@ -400,11 +507,9 @@ def reconstruct_bids(probes: Sequence[ProbeLine]):
             seen[b.bidnumber] = b
             if max_seen is None or b.bidnumber > max_seen:
                 max_seen = b.bidnumber
-    if not seen:
-        return [], 0
     numbers = sorted(seen)
-    missing = (numbers[-1] - numbers[0] + 1) - len(numbers)
-    return [seen[k] for k in numbers], missing
+    missing = (numbers[-1] - numbers[0] + 1) - len(numbers) if numbers else 0
+    return _BidHistory(*_bid_columns([seen[k] for k in numbers])), missing
 
 
 # ---------------------------------------------------------------------------
@@ -457,30 +562,33 @@ def profit_margin(records: Sequence[AuctionOutcomeRecord],
     skipped_no_sale = 0
     profit_total = 0
     retail_total = 0
-    for r in records:
-        if r.flg_fixedprice:
+    row_fields = _row_getter("auction_id flg_fixedprice price_cents bidincrement_cents "
+                             "retail_cents bidfee_cents finalprice_cents")
+    for auction_id, fixed, price, increment, retail, own_fee, final in map(
+            row_fields, _outcome_rows(records)):
+        if fixed:
             skipped_fixed += 1
             continue
-        if r.price_cents == 0:
+        if price == 0:
             skipped_no_sale += 1
             continue
-        if r.bidincrement_cents <= 0:
-            errors.append(f"auction {r.auction_id}: zero bid increment on a normal auction")
+        if increment <= 0:
+            errors.append(f"auction {auction_id}: zero bid increment on a normal auction")
             continue
-        if r.retail_cents <= 0:
-            errors.append(f"auction {r.auction_id}: nonpositive retail price")
+        if retail <= 0:
+            errors.append(f"auction {auction_id}: nonpositive retail price")
             continue
-        fee = r.bidfee_cents if assumed_bidfee_cents is None else assumed_bidfee_cents
-        bids = _SHARED_INTS[_bids_estimate(r.price_cents, r.bidincrement_cents)]
-        profit = bids * fee + r.finalprice_cents - r.retail_cents
+        fee = own_fee if assumed_bidfee_cents is None else assumed_bidfee_cents
+        bids = _SHARED_INTS[_bids_estimate(price, increment)]
+        profit = bids * fee + final - retail
         per_auction.append(AuctionMargin(
-            auction_id=r.auction_id,
+            auction_id=auction_id,
             bids_estimate=bids,
             profit_cents=profit,
-            margin=profit / r.retail_cents,
+            margin=profit / retail,
         ))
         profit_total += profit
-        retail_total += r.retail_cents
+        retail_total += retail
     aggregate = profit_total / retail_total if retail_total > 0 else math.nan
     return MarginReport(
         per_auction=per_auction,
@@ -496,14 +604,17 @@ def profit_margin(records: Sequence[AuctionOutcomeRecord],
 # Metrics on reconstructed bid histories
 
 
-def _require_timestamps(bids: Sequence[BidEvent]) -> None:
-    if not bids:
+def _require_timestamps(numbers: Sequence, stamps: Sequence) -> None:
+    """Every bid has a finite stamp; the walk names the first that does not."""
+    if not stamps:
         raise ValueError("need at least one bid")
-    for b in bids:
-        if b.timestamp is None:
-            raise ValueError(f"bid {b.bidnumber} has no timestamp")
-        if not math.isfinite(b.timestamp):
-            raise ValueError(f"bid {b.bidnumber} has a non-finite timestamp: {b.timestamp!r}")
+    if isinstance(stamps, array) and all(map(math.isfinite, stamps)):
+        return  # an array holds only floats
+    for number, stamp in zip(numbers, stamps):
+        if stamp is None:
+            raise ValueError(f"bid {number} has no timestamp")
+        if not math.isfinite(stamp):
+            raise ValueError(f"bid {number} has a non-finite timestamp: {stamp!r}")
 
 
 _MAX_ACTIVE_SAMPLES = 10_000_000
@@ -525,15 +636,14 @@ def active_bidder_fraction(
     so the largest seconds-before-end comes first. A grid of more than ten
     million samples is refused.
     """
-    _require_timestamps(bids)
+    numbers, users, _, _, _, stamps = _bid_columns(bids)
+    _require_timestamps(numbers, stamps)
     if not (sample_interval > 0 and window > 0):  # NaN fails the comparison too
         raise ValueError("sample interval and window must be positive")
     for name, stamp in (("auction_end", auction_end), ("auction_start", auction_start)):
         if stamp is not None and not math.isfinite(stamp):
             raise ValueError(f"{name} is not finite: {stamp!r}")
-    order = sorted(bids, key=lambda b: b.timestamp)
-    stamps = [b.timestamp for b in order]
-    users = [b.username for b in order]
+    stamps, users = _sorted_by(stamps, stamps, users)
     begin = stamps[0] if auction_start is None else auction_start
     # An interval under half an ulp of the offset would stop the offset from
     # growing, and the loop below from ending.
@@ -611,24 +721,24 @@ def bidder_stats(
     and being in the red (spent more than the value received, which covers
     every losing bidder). Bidders appear in order of their first bid.
     """
-    _require_timestamps(bids)
-    order = sorted(bids, key=lambda b: b.bidnumber)
+    numbers, users, _, _, _, stamps = _bid_columns(bids)
+    _require_timestamps(numbers, stamps)
     counts: dict = {}
     rt_sums: dict = {}
     rt_counts: dict = {}
     appearance: list = []
     prev_stamp = None
-    for b in order:
-        if b.username not in counts:
-            counts[b.username] = 0
-            rt_sums[b.username] = 0.0
-            rt_counts[b.username] = 0
-            appearance.append(b.username)
-        counts[b.username] += 1
+    for user, stamp in zip(*_sorted_by(numbers, users, stamps)):
+        if user not in counts:
+            counts[user] = 0
+            rt_sums[user] = 0.0
+            rt_counts[user] = 0
+            appearance.append(user)
+        counts[user] += 1
         if prev_stamp is not None:
-            rt_sums[b.username] += b.timestamp - prev_stamp
-            rt_counts[b.username] += 1
-        prev_stamp = b.timestamp
+            rt_sums[user] += stamp - prev_stamp
+            rt_counts[user] += 1
+        prev_stamp = stamp
     out = []
     for user in appearance:
         nbids = counts[user]
@@ -673,21 +783,22 @@ def detect_duels(bids: Sequence[BidEvent], min_len: int = 10) -> Optional[Duel]:
     """
     if min_len < 2:
         raise ValueError("a duel needs at least two bids")
-    order = sorted(bids, key=lambda b: b.bidnumber)
-    if len(order) < 2:
+    numbers, users = _bid_columns(bids)[:2]
+    users, = _sorted_by(numbers, users)
+    if len(users) < 2:
         return None
-    last = order[-1].username
-    prev = order[-2].username
+    last = users[-1]
+    prev = users[-2]
     if last == prev:
         return None
     length = 2
-    i = len(order) - 3
-    while i >= 0 and order[i].username == order[i + 2].username:
+    i = len(users) - 3
+    while i >= 0 and users[i] == users[i + 2]:
         length += 1
         i -= 1
     if length < min_len:
         return None
-    return Duel(length=length, participants=(last, prev), start_index=len(order) - length)
+    return Duel(length=length, participants=(last, prev), start_index=len(users) - length)
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +822,12 @@ class BidpackReport:
     traced_auctions: int
 
 
-def _default_bidpack_matcher(record: AuctionOutcomeRecord) -> bool:
-    return "bids-voucher" in record.item.lower() or "bids voucher" in record.description.lower()
+_BIDPACK_TEXT = _row_getter("item description")
+
+
+def _is_bidpack_row(row: tuple) -> bool:
+    item, description = _BIDPACK_TEXT(row)
+    return "bids-voucher" in item.lower() or "bids voucher" in description.lower()
 
 
 def bidpack_cost(
@@ -730,35 +845,35 @@ def bidpack_cost(
     auctions they LOST are added, which is the part the outcomes table cannot
     see. Value counts the retail face of packs actually won.
     """
-    match = matcher if matcher is not None else _default_bidpack_matcher
-    packs = [r for r in records if match(r)]
+    match = _is_bidpack_row if matcher is None else lambda row: matcher(_new_record(*row))
+    row_fields = _row_getter("auction_id winner bidfee_cents placedbids freebids "
+                             "finalprice_cents retail_cents")
+    packs = [row_fields(row) for row in _outcome_rows(records) if match(row)]
     if not packs:
         raise ValueError("no bidpack auctions in the outcome records")
     traces = traces or {}
-    winners = sorted({r.winner for r in packs})
+    winners = sorted({winner for _, winner, *_ in packs})
     cost: dict = {u: 0 for u in winners}
     value: dict = {u: 0 for u in winners}
     packs_won: dict = {u: 0 for u in winners}
     traced = 0
-    for r in packs:
-        fee = r.bidfee_cents if assumed_bidfee_cents is None else assumed_bidfee_cents
-        trace = traces.get(r.auction_id)
+    for auction_id, winner, own_fee, placed, free, final, retail in packs:
+        fee = own_fee if assumed_bidfee_cents is None else assumed_bidfee_cents
+        trace = traces.get(auction_id)
         if trace is not None:
             traced += 1
-            by_user: dict = {}
-            for b in trace:
-                by_user[b.username] = by_user.get(b.username, 0) + 1
+            by_user = Counter(_bid_columns(trace)[1])
             for u in winners:
-                if u == r.winner:
+                if u == winner:
                     continue
-                lost_bids = by_user.get(u, 0)
+                lost_bids = by_user[u]
                 cost[u] += lost_bids * fee
-            winner_bids = by_user.get(r.winner, 0)
+            winner_bids = by_user[winner]
         else:
-            winner_bids = max(r.placedbids - r.freebids, 0)
-        cost[r.winner] += r.finalprice_cents + winner_bids * fee
-        value[r.winner] += r.retail_cents
-        packs_won[r.winner] += 1
+            winner_bids = max(placed - free, 0)
+        cost[winner] += final + winner_bids * fee
+        value[winner] += retail
+        packs_won[winner] += 1
     buyers = [
         BidpackBuyer(username=u, packs_won=packs_won[u], cost_cents=cost[u], value_cents=value[u])
         for u in winners
@@ -791,17 +906,23 @@ def aggression_table(
     aggression threshold; each bucket reports how many auctions it holds and
     the mean auctioneer revenue as a percentage of retail.
     """
-    by_id = {r.auction_id: r for r in records}
+    rows = _outcome_rows(records)
+    by_id = dict(zip(map(_row_getter("auction_id"), rows), rows))
+    row_fields = _row_getter("retail_cents bidincrement_cents bidfee_cents price_cents "
+                             "finalprice_cents")
     buckets: dict = {0: [], 1: [], 2: []}
     for auction_id, stats in stats_by_auction.items():
-        record = by_id.get(auction_id)
-        if record is None or record.retail_cents <= 0 or record.bidincrement_cents <= 0:
+        row = by_id.get(auction_id)
+        if row is None:
             continue
-        fee = record.bidfee_cents if assumed_bidfee_cents is None else assumed_bidfee_cents
-        bids = _bids_estimate(record.price_cents, record.bidincrement_cents)
-        revenue = bids * fee + record.finalprice_cents
+        retail, increment, own_fee, price, final = row_fields(row)
+        if retail <= 0 or increment <= 0:
+            continue
+        fee = own_fee if assumed_bidfee_cents is None else assumed_bidfee_cents
+        bids = _bids_estimate(price, increment)
+        revenue = bids * fee + final
         hot = sum(1 for s in stats if s.aggression >= threshold)
-        buckets[min(hot, 2)].append(revenue / record.retail_cents)
+        buckets[min(hot, 2)].append(revenue / retail)
     out = []
     for key, label in ((0, "0"), (1, "1"), (2, ">=2")):
         vals = buckets[key]

@@ -454,6 +454,18 @@ def test_shill_fixed_price_frozen_values():
         assert got == pytest.approx(expected, rel=1e-9), (budget, identities)
 
 
+@pytest.mark.parametrize("spec", [FIX, ASC], ids=["fixed", "ascending"])
+@pytest.mark.parametrize("identities", [1, 2])
+@pytest.mark.parametrize("budget", [1, 2, 5, 10, 20, 50])
+def test_entered_shill_bids_never_exceed_the_budget(spec, identities, budget):
+    # a two-identity shill places its whole budget on every path, and its
+    # wins sum to 1 + 1e-15 in floats on both variants
+    out = shill_profit(spec, ShillPolicy(1.0, budget, identities))
+    assert out.entered_shill_bids <= budget
+    if identities == 2:
+        assert out.entered_shill_bids == pytest.approx(budget, rel=1e-12)
+
+
 def test_shill_double_identity_frozen():
     out = shill_profit(ASC, ShillPolicy(1.0, 10, identities=2))
     assert out.expected_profit == pytest.approx(33.30425359843758, rel=1e-9)

@@ -1,8 +1,10 @@
 """Outcome and probe parsing plus the empirical metrics, on synthetic data."""
 
+import gc
 import math
 import pickle
 import tracemalloc
+from types import SimpleNamespace
 from dataclasses import FrozenInstanceError, astuple, replace
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, InvalidOperation
 
@@ -16,6 +18,7 @@ from paybid.trace_analytics import (
     WON_AUCTION,
     AuctionOutcomeRecord,
     BidEvent,
+    Duel,
     _dollars_to_cents,
     active_bidder_fraction,
     aggression_table,
@@ -798,6 +801,121 @@ def test_aggression_table_buckets():
         (12 * 60 + 72) / 30000 * 100, abs=1e-9)
     assert table["1"]["mean_revenue_pct_of_retail"] == pytest.approx(
         (4 * 60 + 24) / 30000 * 100, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# parsed tables and histories: held off the collector, read like lists
+
+
+def test_parsed_data_leaves_the_collector_almost_nothing_to_walk():
+    rows = [outcome_row(aid, "tv", "TV", 100 + aid, 31.26, 31.26, 6, 60, f"w{aid % 50}", 5)
+            for aid in range(10_000)]
+    probes = parse_trace_file([f"{10 + n}\tct=1|bh={n}:u{n % 7}:1:{6 * n}:0:#|lui=0"
+                               for n in range(1, 5_001)])
+    gc.collect()
+    before = len(gc.get_objects())
+    table = parse_outcome_rows(rows)
+    bids, missing = reconstruct_bids(probes)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert (len(table), len(bids), missing) == (10_000, 5_000, 0)
+    # a tracked object per record or per event would add thousands
+    assert grown <= 20
+
+
+# A traced bidpack auction with a closing duel, and rows of every kind the
+# outcome reports tell apart: a second bidpack, a plain sale, a fixed-price
+# row, an unsold one, one past 2**63 cents and one with a zero increment.
+TRACE_LINES = [
+    "100.0\tct=9|bh=1:c:1:6:0:#2:a:1:12:0:#|lui=0",
+    "130.5\tct=9|bh=2:a:1:12:0:#3:b:2:18:0:#4:a:1:24:0:#|lui=0",
+    "131.0\tct=9|bh=4:a:1:24:0:#5:b:1:30:0:#|lui=0",
+    "190.0\tct=9|bh=6:a:1:36:1:#7:b:1:42:0:#|lui=0",
+]
+TABLE_ROWS = [
+    outcome_row(1, "300-bids-voucher", "300 Bids Voucher", 180, 0.42, 0.42, 6, 60, "b", 7),
+    outcome_row(2, "voucher", "50 Bids Voucher", 30, 1.20, 1.20, 6, 60, "a", 20, free=3),
+    outcome_row(3, "tv", "TV", 500, 12.34, 12.34, 1, 60, "c", 1234, click=1),
+    outcome_row(4, "tv", "TV", 500, 99.00, 99.00, 0, 60, "c", 9, fixed=1),
+    outcome_row(5, "tv", "TV", 500, 0, 0, 6, 60, "", 0),
+    outcome_row(6, "yacht", "Yacht", "92233720368547758.09", "92233720368547758.09",
+                "92233720368547758.09", 1, 60, "a", 5),
+    outcome_row(7, "tv", "TV", 500, 1.00, 1.00, 0, 60, "b", 5),
+]
+REPORTS = {
+    "bidder_stats": lambda bids, records: bidder_stats(bids, 18000, 42, "b"),
+    "detect_duels": lambda bids, records: detect_duels(bids, min_len=2),
+    "active_bidder_fraction": lambda bids, records: active_bidder_fraction(
+        bids, 190.0, sample_interval=10.0, window=30.0),
+    "profit_margin": lambda bids, records: profit_margin(records),
+    "bidpack_cost": lambda bids, records: bidpack_cost(records, traces={1: bids}),
+    "aggression_table": lambda bids, records: aggression_table(
+        {1: [SimpleNamespace(aggression=a) for a in (5.0, 4.0)], 2: [],
+         3: [SimpleNamespace(aggression=3.0)], 6: []}, records),
+}
+
+
+@pytest.mark.parametrize("report", sorted(REPORTS))
+def test_reports_read_parsed_sequences_and_lists_alike(report):
+    bids, missing = reconstruct_bids(parse_trace_file(TRACE_LINES))
+    records = parse_outcome_rows(TABLE_ROWS)
+    assert missing == 0 and len(bids) == 7 and len(records) == len(TABLE_ROWS)
+    want = REPORTS[report](bids, records)
+    assert REPORTS[report](list(bids), list(records)) == want
+    # a list in another order reads the same: the per-bid reports sort it
+    assert REPORTS[report](list(bids)[::-1], list(records)) == want
+    assert want not in ([], None)
+
+
+def test_parsed_sequences_read_like_lists():
+    bids, _ = reconstruct_bids(parse_trace_file(TRACE_LINES))
+    events = list(bids)
+    assert [b.bidnumber for b in events] == list(range(1, 8))
+    assert events[2] == BidEvent(3, "b", 2, 18, 0, 130.5)
+    assert events[5] == BidEvent(6, "a", 1, 36, 1, 190.0)
+    assert bids == events and events == bids and not bids != events
+    assert bids[-1] == events[-1] and bids[1:6:2] == events[1:6:2] and bids[::-1] == events[::-1]
+    assert bids != events[:-1] and bids != tuple(events)
+    assert pickle.loads(pickle.dumps(bids)) == events
+    with pytest.raises(IndexError):
+        bids[7]
+    with pytest.raises(TypeError):
+        hash(bids)
+    records = parse_outcome_rows(TABLE_ROWS)
+    assert records == list(records) and records[-2:] == list(records)[-2:]
+    assert type(records[0]) is AuctionOutcomeRecord and records[0].winner == "b"
+    assert records[5].price_cents == 2**63 + 1
+    assert reconstruct_bids([]) == ([], 0) and parse_outcome_rows([]) == []
+
+
+def test_bid_numbers_and_prices_past_63_bits_survive():
+    big = 2**63
+    lines = [f"10.0\tct=1|bh={big}:a:1:{big * 4}:0:#{big + 1}:b:1:{-big - 1}:0:#|lui=0",
+             f"20.0\tct=1|bh={big + 1}:b:1:{-big - 1}:0:#{big + 2}:a:{big}:7:{big}:#|lui=0"]
+    bids, missing = reconstruct_bids(parse_trace_file(lines))
+    assert missing == 0
+    assert bids == [BidEvent(big, "a", 1, big * 4, 0, 10.0),
+                    BidEvent(big + 1, "b", 1, -big - 1, 0, 10.0),
+                    BidEvent(big + 2, "a", big, 7, big, 20.0)]
+    events = list(bids)
+    assert bidder_stats(bids, 100, 7, "a") == bidder_stats(events, 100, 7, "a")
+    assert detect_duels(bids, min_len=3) == Duel(3, ("a", "b"), 0)
+    assert active_bidder_fraction(bids, 20.0) == active_bidder_fraction(events, 20.0)
+    records = parse_outcome_rows([outcome_row(9, "300-bids-voucher", "v", 1, 1, 1, 6, 60,
+                                              "a", 1)])
+    assert bidpack_cost(records, traces={9: bids}) == bidpack_cost(records, traces={9: events})
+
+
+def test_a_caller_history_keeps_its_own_values():
+    # int stamps, which a float column would round past 2**53, and a
+    # missing stamp read back unchanged
+    events = [BidEvent(1, "a", 1, 6, 0, 10), BidEvent(2, "b", 1, 12, 0, 2**60 + 1)]
+    probes = [trace_analytics.ProbeLine(entries=(), observed_at=10.0, bids=tuple(events))]
+    bids, _ = reconstruct_bids(probes)
+    assert bids == events
+    assert [type(b.timestamp) for b in bids] == [int, int] and bids[1].timestamp == 2**60 + 1
+    with pytest.raises(ValueError, match="bid 3 has no timestamp"):
+        bidder_stats(events + [BidEvent(3, "c", 1, 18, 0)], 100, 18, "c")
 
 
 # ---------------------------------------------------------------------------
