@@ -595,7 +595,7 @@ def _trace_report(args, records: Sequence) -> tuple:
             offsets = [float(x) for x in args.at.split(",")] if args.at else []
             sums = {o: [0.0, 0] for o in offsets}
             for auction_id, bids in sorted(histories.items()):
-                end = max(b.timestamp for b in bids)
+                end = bids[-1].timestamp  # stamps never fall along a history
                 for before_end, fraction in active_bidder_fraction(
                         bids, end, sample_interval=args.interval, window=args.window):
                     rows.append({"auction_id": auction_id,

@@ -27,6 +27,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
+from functools import partial
 from sys import intern
 from typing import Optional
 
@@ -308,11 +309,13 @@ def _row_getter(names: str) -> Callable:
     return operator.itemgetter(*[_RECORD_NAMES.index(name) for name in names.split()])
 
 
-_BID_FIELDS = operator.attrgetter(*[f.name for f in fields(BidEvent)])
+_BID_NAMES = [f.name for f in fields(BidEvent)]
+_BID_FIELDS = operator.attrgetter(*_BID_NAMES)
+_BID_ROW = operator.attrgetter(*_BID_NAMES[:-1])  # a bh row: each field but the stamp
 _BID_TYPECODES = ("q", None, "q", "q", "q", "d")  # usernames stay a tuple
 
 
-def _column(code: Optional[str], values: tuple) -> Sequence:
+def _column(code: Optional[str], values: Sequence) -> Sequence:
     """values in an array of typecode code if it holds each as an equal
     value, else the tuple itself: 'q' refuses all but ints below 2**63 in
     size, and 'd' gets only floats, since it would round a large int."""
@@ -358,11 +361,11 @@ def _bid_fields(piece: str, i: int) -> tuple:
     return parsed
 
 
-def _parse_bh(raw: str, observed_at: Optional[float], seen: dict) -> tuple:
-    """The bh field's bid tuples as events stamped with observed_at.
+def _bh_rows(raw: str, seen: dict) -> Sequence[tuple]:
+    """The bh field's bid tuples as rows of their fields, the stamp aside.
 
-    seen maps a tuple's text to its parsed fields and is shared by the
-    probes of one file, so a tuple that later probes repeat is parsed once.
+    seen maps a tuple's text to its row and is shared by the probes of one
+    file, so a tuple that later probes repeat is parsed once.
     Every tuple is parsed before the bid numbers are compared, so a field
     that is both malformed and out of order is reported as malformed.
     """
@@ -382,7 +385,7 @@ def _parse_bh(raw: str, observed_at: Optional[float], seen: dict) -> tuple:
     for a, b in zip(rows, rows[1:]):
         if b[0] <= a[0]:
             raise ValueError("bid numbers within one bh field must increase strictly")
-    return tuple([_new_bid(*row, observed_at) for row in rows])
+    return rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,7 +420,10 @@ _PROBE_TYPED = {"ct": None, "cs": None, "ra": None, "cw": None, "cp": None, "bid
                 "lui": None}
 
 
-def _parse_probe(line: str, observed_at: Optional[float], seen: dict) -> ProbeLine:
+def _probe_fields(line: str, bh_rows: Callable[[str], Sequence[tuple]]) -> tuple:
+    """The one probe grammar: (entries, typed) of a probe, typed being its
+    fields after observed_at in ProbeLine's order, with the rows bh_rows
+    gives for a bh field in place of its events."""
     if line == "":
         raise ValueError("empty probe line")
     entries = []
@@ -432,26 +438,55 @@ def _parse_probe(line: str, observed_at: Optional[float], seen: dict) -> ProbeLi
         elif key == "cw":
             typed[key] = value
         elif key == "bh":
-            typed["bids"] = _parse_bh(value, observed_at, seen)
+            typed["bids"] = bh_rows(value)
         elif key == "lui":
             typed["lui"] = tuple(map(int, value.split("#"))) if value else ()
-    return _new_probe(tuple(entries), observed_at, *typed.values())
+    return tuple(entries), typed
+
+
+def _probe(line: str, observed_at: Optional[float],
+           bh_rows: Callable[[str], Sequence[tuple]]) -> ProbeLine:
+    """The ProbeLine of line, its bh rows stamped with observed_at."""
+    entries, typed = _probe_fields(line, bh_rows)
+    typed["bids"] = tuple([_new_bid(*row, observed_at) for row in typed["bids"]])
+    return _new_probe(entries, observed_at, *typed.values())
 
 
 def parse_probe_line(line: str, observed_at: Optional[float] = None) -> ProbeLine:
     """Parse one |-separated probe. Unknown keys pass through untouched."""
-    return _parse_probe(line, observed_at, {})
+    return _probe(line, observed_at, partial(_bh_rows, seen={}))
 
 
-def parse_trace_file(lines: Iterable[str], diagnostics: Optional[list] = None) -> list:
+class _ProbeTable(_BuiltOnRead):
+    """Probe lines held as their texts and stamps, and where each line's bids
+    start and end in the file's one list of bh rows; a tuple of rows per line
+    could outlive a full pass tracked, if the pass visits it before them. A
+    ProbeLine is parsed again from its checked text when read."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list, *columns):
+        super().__init__(*columns)
+        self._rows = rows
+
+    def _make(self, text: str, stamp: float, start: int, end: int) -> ProbeLine:
+        rows = self._rows[start:end]
+        return _probe(text, stamp, lambda raw: rows)
+
+
+def parse_trace_file(lines: Iterable[str],
+                     diagnostics: Optional[list] = None) -> Sequence[ProbeLine]:
     """Parse '<epoch>\\t<probe>' lines into ProbeLine objects, in file order.
 
     A line whose timestamp is not a finite number of seconds is rejected like
     any other malformed line. A bid tuple repeated by later probes of the
-    file is parsed once, and each probe stamps its own events.
+    file is parsed once, and each probe stamps its own events. Returns a
+    read-only sequence of probes, equal to the list of them, that holds each
+    accepted line as its probe text, its stamp and its bh rows and builds a
+    ProbeLine when one is read.
     """
-    probes = []
-    seen: dict = {}  # bh tuple text -> parsed fields, for this file
+    texts, stamps, starts, rows = [], array("d"), array("q"), []
+    bh_rows = partial(_bh_rows, seen={})  # bh tuple text -> its row, for this file
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -463,14 +498,19 @@ def parse_trace_file(lines: Iterable[str], diagnostics: Optional[list] = None) -
             stamp = float(stamp_text)
             if not math.isfinite(stamp):
                 raise ValueError(f"timestamp is not finite: {stamp_text!r}")
-            probes.append(_parse_probe(probe_text, stamp, seen))
+            _, typed = _probe_fields(probe_text, bh_rows)
         except ValueError as exc:
             message = f"line {lineno}: {exc}"
             if diagnostics is not None:
                 diagnostics.append(message)
             else:
                 log.warning("skipping trace line, %s", message)
-    return probes
+            continue
+        texts.append(probe_text)
+        stamps.append(stamp)
+        starts.append(len(rows))
+        rows.extend(typed["bids"])
+    return _ProbeTable(rows, texts, stamps, starts, starts[1:] + array("q", [len(rows)]))
 
 
 def reconstruct_bids(probes: Sequence[ProbeLine]):
@@ -485,31 +525,43 @@ def reconstruct_bids(probes: Sequence[ProbeLine]):
     them, that holds each field as a column and builds an event when one is
     read.
     """
+    if type(probes) is _ProbeTable:  # a parsed line's bids carry its stamp
+        rows = probes._rows
+        _, stamps, starts, ends = probes._columns
+        bid_stamps = itertools.chain.from_iterable(
+            map(itertools.repeat, stamps, map(operator.sub, ends, starts)))
+    else:  # any other probes, read once; each event keeps its own stamp
+        probes = list(probes)
+        stamps = [p.observed_at for p in probes]
+        events = [b for p in probes for b in p.bids]
+        rows, bid_stamps = map(_BID_ROW, events), [b.timestamp for b in events]
     last_stamp = None
-    for p in probes:
-        if p.observed_at is None:
+    for stamp in stamps:
+        if stamp is None:
             raise ValueError("probes must carry observation timestamps")
-        if not math.isfinite(p.observed_at):
-            raise ValueError(f"probe observation timestamp is not finite: {p.observed_at!r}")
-        if last_stamp is not None and p.observed_at < last_stamp:
+        if not math.isfinite(stamp):
+            raise ValueError(f"probe observation timestamp is not finite: {stamp!r}")
+        if last_stamp is not None and stamp < last_stamp:
             raise ValueError("probes must be sorted by observation time")
-        last_stamp = p.observed_at
-    seen: dict = {}
-    max_seen = None
-    for p in probes:
-        for b in p.bids:
-            if b.bidnumber in seen:
-                continue
-            if max_seen is not None and b.bidnumber < max_seen:
-                raise ValueError(
-                    f"bid {b.bidnumber} first appeared after bid {max_seen}, "
-                    "the trace is inconsistent")
-            seen[b.bidnumber] = b
-            if max_seen is None or b.bidnumber > max_seen:
-                max_seen = b.bidnumber
-    numbers = sorted(seen)
-    missing = (numbers[-1] - numbers[0] + 1) - len(numbers) if numbers else 0
-    return _BidHistory(*_bid_columns([seen[k] for k in numbers])), missing
+        last_stamp = stamp
+    # A bid not seen before is above every bid seen before, or the trace is
+    # refused, so the first sightings come in order of bid number.
+    numbers: set = set()
+    kept: list = []
+    kept_stamps: list = []
+    for row, stamp in zip(rows, bid_stamps):
+        number = row[0]
+        if number in numbers:
+            continue
+        if kept and number < kept[-1][0]:
+            raise ValueError(f"bid {number} first appeared after bid {kept[-1][0]}, "
+                             "the trace is inconsistent")
+        numbers.add(number)
+        kept.append(row)
+        kept_stamps.append(stamp)
+    missing = kept[-1][0] - kept[0][0] + 1 - len(kept) if kept else 0
+    columns = list(zip(*kept)) or [()] * 5
+    return _BidHistory(*map(_column, _BID_TYPECODES, [*columns, kept_stamps])), missing
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,48 @@ def test_trace_file_diagnostics_keep_their_precedence():
         assert message.endswith(str(err.value))
 
 
+# One malformed line of each kind the trace grammar rejects, mixed with good
+# lines that repeat tuples, leave out bh or lui, empty lui and repeat a bh field.
+MIXED_TRACE = [
+    ("10\tct=9|cs=1|ra=0|cw=a|cp=6|bh=1:a:1:6:0:#|lui=4#1#0#0", None),
+    ("11 ct=9|cs=1|bh=1:a:1:6:0:#|lui=0", "missing tab between timestamp and probe"),
+    ("nan\tct=9|bh=1:a:1:6:0:#|lui=0", "timestamp is not finite: 'nan'"),
+    ("ten\tct=9|bh=1:a:1:6:0:#|lui=0", "could not convert string to float: 'ten'"),
+    ("12\t", "missing tab between timestamp and probe"),
+    ("13\tct=9|junk|lui=0", "probe chunk without '=': 'junk'"),
+    ("14\tct=x|bh=|lui=0", "invalid literal for int() with base 10: 'x'"),
+    ("15\tcs=1.5|bh=|lui=0", "invalid literal for int() with base 10: '1.5'"),
+    ("16\tra=|bh=|lui=0", "invalid literal for int() with base 10: ''"),
+    ("17\tcp=12a|bh=|lui=0", "invalid literal for int() with base 10: '12a'"),
+    ("18\tct=9|cw=b|cp=12|bh=1:a:1:6:0:#2:b:1:12:0:#|lui=", None),
+    ("19\tct=9|bh=|lui=1#x", "invalid literal for int() with base 10: 'x'"),
+    ("20\tct=9|bh=2:b:1:12:0:|lui=0", "bh field does not end with its '#' terminator"),
+    ("21\tct=9|bh=" + "".join(f"{n}:u:1:{6 * n}:0:#" for n in range(1, 12)) + "|lui=0",
+     "bh field lists 11 bids, the feed never sends more than 10"),
+    ("22\tct=9|bh=2:b:1:12:0:#3:c:1:18:0:x#|lui=0",
+     "malformed bid tuple 1 in bh field: '3:c:1:18:0:x'"),
+    ("23\tct=9|bh=3:c:1:18:0:#2:b:1:12:0:#|lui=0",
+     "bid numbers within one bh field must increase strictly"),
+    ("24\tct=9|bh=2:b:one:12:0:#|bh=3:c:1:18:0:#|lui=0",
+     "malformed bid tuple 0 in bh field: '2:b:one:12:0:'"),
+    ("25\tzz=opaque|bh=2:b:1:12:0:#3:c:2:18:1:#|bh=|lui=0|cs=20", None),
+    ("26\tct=1|cs=20|bh=2:b:1:12:0:#3:c:2:18:1:#4:a:1:24:0:#", None),
+    ("27\tct=5|cs=1|cw=c|lui=0", None),
+]
+
+
+def test_trace_file_diagnoses_each_kind_of_line_and_keeps_the_rest():
+    diagnostics = []
+    parsed = parse_trace_file([line + "\n" for line, _ in MIXED_TRACE], diagnostics)
+    assert diagnostics == [f"line {n}: {message}"
+                           for n, (_, message) in enumerate(MIXED_TRACE, start=1) if message]
+    accepted = [line.split("\t") for line, message in MIXED_TRACE if message is None]
+    assert list(parsed) == [parse_probe_line(text, float(stamp)) for stamp, text in accepted]
+    # a later bh field's bids replace an earlier one's; the entries keep both
+    assert parsed[2].bids == () and parsed[2].serialize() == accepted[2][1]
+    assert [b.bidnumber for b in parsed[3].bids] == [2, 3, 4]
+
+
 def test_repeated_tuple_carries_each_probe_stamp():
     lines = ["10\tct=1|bh=1:a:1:6:0:#2:b:1:12:0:#|lui=0",
              "20\tct=1|bh=1:a:1:6:0:#2:b:1:12:0:#3:a:2:18:0:#|lui=0"]
@@ -810,10 +852,16 @@ def test_aggression_table_buckets():
 def test_parsed_data_leaves_the_collector_almost_nothing_to_walk():
     rows = [outcome_row(aid, "tv", "TV", 100 + aid, 31.26, 31.26, 6, 60, f"w{aid % 50}", 5)
             for aid in range(10_000)]
-    probes = parse_trace_file([f"{10 + n}\tct=1|bh={n}:u{n % 7}:1:{6 * n}:0:#|lui=0"
-                               for n in range(1, 5_001)])
+    lines = [f"{10 + n}\tct=1|bh={n}:u{n % 7}:1:{6 * n}:0:#|lui=0" for n in range(1, 5_001)]
     gc.collect()
     before = len(gc.get_objects())
+    probes = parse_trace_file(lines)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert len(probes) == 5_000
+    # a tracked object per probe line or per event would add thousands
+    assert grown <= 20
+    before += grown
     table = parse_outcome_rows(rows)
     bids, missing = reconstruct_bids(probes)
     gc.collect()
@@ -886,6 +934,46 @@ def test_parsed_sequences_read_like_lists():
     assert type(records[0]) is AuctionOutcomeRecord and records[0].winner == "b"
     assert records[5].price_cents == 2**63 + 1
     assert reconstruct_bids([]) == ([], 0) and parse_outcome_rows([]) == []
+
+
+def test_parsed_probes_read_like_a_list():
+    probes = parse_trace_file(TRACE_LINES)
+    lines = [parse_probe_line(text, float(stamp))
+             for stamp, text in (line.split("\t") for line in TRACE_LINES)]
+    assert len(probes) == 4 and list(probes) == lines and [p for p in probes] == lines
+    assert probes == lines and lines == probes and not probes != lines
+    assert probes[-1] == lines[-1] and probes[-1].observed_at == 190.0
+    assert probes[1:3] == lines[1:3] and type(probes[1:3]) is list
+    assert probes != lines[:-1] and probes != tuple(lines)
+    assert pickle.loads(pickle.dumps(probes)) == lines
+    first, second = parse_trace_file(TRACE_LINES[:2])
+    assert (first, second) == tuple(lines[:2])
+    with pytest.raises(IndexError):
+        probes[4]
+
+
+def test_reconstruct_reads_parsed_probes_and_probe_lists_alike():
+    probes = parse_trace_file(TRACE_LINES + ["200.0\tct=9|bh=7:b:1:42:0:#9:c:1:54:0:#|lui=0"])
+    assert reconstruct_bids(probes) == reconstruct_bids(list(probes))
+    assert reconstruct_bids(probes)[1] == 1
+    refused = {
+        "probes must be sorted by observation time": TRACE_LINES[1::-1],
+        "bid 3 first appeared after bid 4, the trace is inconsistent": [
+            "10\tct=9|bh=1:a:1:6:0:#2:b:1:12:0:#|lui=0", "20\tct=9|bh=4:a:1:24:0:#|lui=0",
+            "30\tct=9|bh=3:c:1:18:0:#4:a:1:24:0:#|lui=0"],
+    }
+    for message, lines in refused.items():
+        for probes in (parse_trace_file(lines), list(parse_trace_file(lines))):
+            with pytest.raises(ValueError) as err:
+                reconstruct_bids(probes)
+            assert str(err.value) == message
+    # events a caller stamped otherwise than their probe keep their own stamps
+    probes = [trace_analytics.ProbeLine(entries=(), observed_at=10.0,
+                                        bids=(bid(1, "a", 4.5), bid(2, "b", 9.0))),
+              trace_analytics.ProbeLine(entries=(), observed_at=20.0,
+                                        bids=(bid(2, "b", 19.0), bid(3, "a", 12.5)))]
+    bids, missing = reconstruct_bids(probes)
+    assert missing == 0 and bids == [bid(1, "a", 4.5), bid(2, "b", 9.0), bid(3, "a", 12.5)]
 
 
 def test_bid_numbers_and_prices_past_63_bits_survive():
