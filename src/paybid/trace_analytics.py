@@ -27,7 +27,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
-from functools import partial
+from functools import partial, reduce
 from sys import intern
 from typing import Optional
 
@@ -63,6 +63,9 @@ IN_THE_BLACK = "in_the_black"
 IN_THE_RED = "in_the_red"
 
 _OUTCOME_FIELDS = 17
+# each outcome field's column typecode: an array holds the distinct ids and retail unboxed
+_RECORD_TYPECODES = ("q", "q", None, None, "q") + (None,) * 12
+_CHUNK_ROWS = 4096
 
 _SHARED_INTS_MAX = 1 << 16
 
@@ -196,6 +199,27 @@ def _record_fields(row: Sequence[str]) -> tuple:
     )
 
 
+def _reject(diagnostics: Optional[list], what: str, message: str) -> None:
+    if diagnostics is not None:
+        diagnostics.append(message)
+    else:
+        log.warning("skipping %s, %s", what, message)
+
+
+def _add_chunk(parts: list, chunk: list) -> None:
+    """Moves the chunk's rows into one more part of each field's column."""
+    for field_parts, code, values in zip(parts, _RECORD_TYPECODES, zip(*chunk)):
+        field_parts.append(_column(code, values))
+    chunk.clear()
+
+
+def _joined(code: Optional[str], parts: list) -> Sequence:
+    """One column of its parts: an array if each part is one, else a tuple."""
+    if code is not None and all(isinstance(part, array) for part in parts):
+        return reduce(operator.iadd, parts, array(code))
+    return tuple(itertools.chain.from_iterable(parts))
+
+
 def parse_outcome_rows(
     lines: Iterable[str],
     delimiter: str = "\t",
@@ -205,30 +229,39 @@ def parse_outcome_rows(
     """Parse outcome rows; malformed rows are skipped and diagnosed.
 
     diagnostics, when given, receives one message per rejected row. Without
-    it rejects are logged as warnings. A short row, a non-numeric amount, or
-    a bad flag rejects only that row, never the whole file. Tab-separated
-    rows are read without CSV quoting, so a field keeps any double quotes it
-    holds; comma-separated rows follow CSV quoting. Returns a read-only
-    sequence of records, equal to the list of them, that holds each row as
-    a tuple of its fields and builds a record when one is read.
+    it rejects are logged as warnings. A short row, a non-numeric amount, a
+    bad flag, or a row the csv module cannot read (a field over its size
+    limit, a bare carriage return) rejects only that row, never the whole
+    file. Tab-separated rows are read without CSV quoting, so a field keeps
+    any double quotes it holds; comma-separated rows follow CSV quoting.
+    Returns a read-only sequence of records, equal to the list of them, that
+    holds each field as a column and builds a record when one is read.
     """
-    rows = []
     quoting = csv.QUOTE_NONE if delimiter == "\t" else csv.QUOTE_MINIMAL
     reader = csv.reader(lines, delimiter=delimiter, quoting=quoting)
-    for lineno, row in enumerate(reader, start=1):
-        if has_header and lineno == 1:
-            continue
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    parts: list = [[] for _ in _RECORD_TYPECODES]  # each field's column, in parts
+    chunk: list = []  # parsed rows, moved into the parts a chunk at a time
+    lineno = 0
+    while True:  # a csv.Error ends the for loop at its row; the reader goes on after it
         try:
-            rows.append(_record_fields(row))
-        except ValueError as exc:
-            message = f"line {lineno}: {exc}"
-            if diagnostics is not None:
-                diagnostics.append(message)
-            else:
-                log.warning("skipping outcome row, %s", message)
-    return _OutcomeTable(rows)
+            for lineno, row in enumerate(reader, start=lineno + 1):
+                if (has_header and lineno == 1) or not row or (
+                        len(row) == 1 and not row[0].strip()):
+                    continue
+                try:
+                    chunk.append(_record_fields(row))
+                except ValueError as exc:
+                    _reject(diagnostics, "outcome row", f"line {lineno}: {exc}")
+                    continue
+                if len(chunk) == _CHUNK_ROWS:
+                    _add_chunk(parts, chunk)
+            break
+        except csv.Error as exc:
+            lineno += 1
+            _reject(diagnostics, "outcome row", f"line {lineno}: {exc}")
+    _add_chunk(parts, chunk)
+    # popped, so that a field's parts are freed as soon as its column is built
+    return _OutcomeTable(*[_joined(code, parts.pop(0)) for code in _RECORD_TYPECODES])
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,10 +312,10 @@ class _BuiltOnRead(Sequence):
 
 
 class _OutcomeTable(_BuiltOnRead):
-    """Outcome records held as one list of tuples of their fields."""
+    """Outcome records held as one column per AuctionOutcomeRecord field."""
 
     __slots__ = ()
-    _make = staticmethod(lambda row: _new_record(*row))
+    _make = staticmethod(_new_record)
 
 
 class _BidHistory(_BuiltOnRead):
@@ -293,20 +326,16 @@ class _BidHistory(_BuiltOnRead):
 
 
 _RECORD_NAMES = [f.name for f in fields(AuctionOutcomeRecord)]
-_RECORD_FIELDS = operator.attrgetter(*_RECORD_NAMES)
 
 
-def _outcome_rows(records: Sequence[AuctionOutcomeRecord]) -> list:
-    """The records as tuples of their fields: a parsed table's own, or those
-    of any other sequence of records, read once."""
+def _outcome_rows(records: Sequence[AuctionOutcomeRecord], names: str) -> Iterable[tuple]:
+    """Each record's named fields (two or more, space-separated) as a tuple:
+    zipped from just those columns of a parsed table, or read off any other
+    sequence of records."""
+    names = names.split()
     if type(records) is _OutcomeTable:
-        return records._columns[0]
-    return list(map(_RECORD_FIELDS, records))
-
-
-def _row_getter(names: str) -> Callable:
-    """An itemgetter of the named (space-separated) record fields of a row."""
-    return operator.itemgetter(*[_RECORD_NAMES.index(name) for name in names.split()])
+        return zip(*[records._columns[_RECORD_NAMES.index(name)] for name in names])
+    return map(operator.attrgetter(*names), records)
 
 
 _BID_NAMES = [f.name for f in fields(BidEvent)]
@@ -317,14 +346,14 @@ _BID_TYPECODES = ("q", None, "q", "q", "q", "d")  # usernames stay a tuple
 
 def _column(code: Optional[str], values: Sequence) -> Sequence:
     """values in an array of typecode code if it holds each as an equal
-    value, else the tuple itself: 'q' refuses all but ints below 2**63 in
-    size, and 'd' gets only floats, since it would round a large int."""
+    value, else as a tuple: 'q' refuses all but ints below 2**63 in size,
+    and 'd' gets only floats, since it would round a large int."""
     if code is None or (code == "d" and not set(map(type, values)) <= {float}):
-        return values
+        return tuple(values)
     try:
         return array(code, values)
     except (TypeError, OverflowError):
-        return values
+        return tuple(values)
 
 
 def _bid_columns(bids: Sequence[BidEvent]) -> tuple:
@@ -492,19 +521,15 @@ def parse_trace_file(lines: Iterable[str],
         if not line.strip():
             continue
         try:
-            stamp_text, _, probe_text = line.partition("\t")
-            if not probe_text:
+            stamp_text, tab, probe_text = line.partition("\t")
+            if not tab:
                 raise ValueError("missing tab between timestamp and probe")
             stamp = float(stamp_text)
             if not math.isfinite(stamp):
                 raise ValueError(f"timestamp is not finite: {stamp_text!r}")
             _, typed = _probe_fields(probe_text, bh_rows)
         except ValueError as exc:
-            message = f"line {lineno}: {exc}"
-            if diagnostics is not None:
-                diagnostics.append(message)
-            else:
-                log.warning("skipping trace line, %s", message)
+            _reject(diagnostics, "trace line", f"line {lineno}: {exc}")
             continue
         texts.append(probe_text)
         stamps.append(stamp)
@@ -587,9 +612,16 @@ class AuctionMargin:
     margin: float
 
 
+class _MarginTable(_BuiltOnRead):
+    """Auction margins held as one column per AuctionMargin field."""
+
+    __slots__ = ()
+    _make = staticmethod(_slot_constructor(AuctionMargin))
+
+
 @dataclass(frozen=True)
 class MarginReport:
-    per_auction: list
+    per_auction: Sequence[AuctionMargin]
     aggregate_margin: float
     included: int
     skipped_fixed_price: int
@@ -608,16 +640,15 @@ def profit_margin(records: Sequence[AuctionOutcomeRecord],
     error recorded per row. The aggregate margin is total profit over total
     retail, not a mean of per-auction margins.
     """
-    per_auction = []
+    ids, estimates, profits, margins = [], [], [], []  # the columns of per_auction
     errors: list = []
     skipped_fixed = 0
     skipped_no_sale = 0
     profit_total = 0
     retail_total = 0
-    row_fields = _row_getter("auction_id flg_fixedprice price_cents bidincrement_cents "
-                             "retail_cents bidfee_cents finalprice_cents")
-    for auction_id, fixed, price, increment, retail, own_fee, final in map(
-            row_fields, _outcome_rows(records)):
+    for auction_id, fixed, price, increment, retail, own_fee, final in _outcome_rows(
+            records, "auction_id flg_fixedprice price_cents bidincrement_cents "
+                     "retail_cents bidfee_cents finalprice_cents"):
         if fixed:
             skipped_fixed += 1
             continue
@@ -633,19 +664,18 @@ def profit_margin(records: Sequence[AuctionOutcomeRecord],
         fee = own_fee if assumed_bidfee_cents is None else assumed_bidfee_cents
         bids = _SHARED_INTS[_bids_estimate(price, increment)]
         profit = bids * fee + final - retail
-        per_auction.append(AuctionMargin(
-            auction_id=auction_id,
-            bids_estimate=bids,
-            profit_cents=profit,
-            margin=profit / retail,
-        ))
+        ids.append(auction_id)
+        estimates.append(bids)
+        profits.append(profit)
+        margins.append(profit / retail)
         profit_total += profit
         retail_total += retail
     aggregate = profit_total / retail_total if retail_total > 0 else math.nan
     return MarginReport(
-        per_auction=per_auction,
+        per_auction=_MarginTable(*map(_column, ("q", None, "q", "d"),
+                                      (ids, estimates, profits, margins))),
         aggregate_margin=aggregate,
-        included=len(per_auction),
+        included=len(ids),
         skipped_fixed_price=skipped_fixed,
         skipped_no_sale=skipped_no_sale,
         errors=errors,
@@ -874,14 +904,6 @@ class BidpackReport:
     traced_auctions: int
 
 
-_BIDPACK_TEXT = _row_getter("item description")
-
-
-def _is_bidpack_row(row: tuple) -> bool:
-    item, description = _BIDPACK_TEXT(row)
-    return "bids-voucher" in item.lower() or "bids voucher" in description.lower()
-
-
 def bidpack_cost(
     records: Sequence[AuctionOutcomeRecord],
     traces: Optional[dict] = None,
@@ -897,10 +919,14 @@ def bidpack_cost(
     auctions they LOST are added, which is the part the outcomes table cannot
     see. Value counts the retail face of packs actually won.
     """
-    match = _is_bidpack_row if matcher is None else lambda row: matcher(_new_record(*row))
-    row_fields = _row_getter("auction_id winner bidfee_cents placedbids freebids "
-                             "finalprice_cents retail_cents")
-    packs = [row_fields(row) for row in _outcome_rows(records) if match(row)]
+    if matcher is None:
+        keep = ("bids-voucher" in item.lower() or "bids voucher" in description.lower()
+                for item, description in _outcome_rows(records, "item description"))
+    else:
+        keep = map(matcher, records)
+    packs = list(itertools.compress(_outcome_rows(
+        records, "auction_id winner bidfee_cents placedbids freebids finalprice_cents "
+                 "retail_cents"), keep))
     if not packs:
         raise ValueError("no bidpack auctions in the outcome records")
     traces = traces or {}
@@ -958,16 +984,15 @@ def aggression_table(
     aggression threshold; each bucket reports how many auctions it holds and
     the mean auctioneer revenue as a percentage of retail.
     """
-    rows = _outcome_rows(records)
-    by_id = dict(zip(map(_row_getter("auction_id"), rows), rows))
-    row_fields = _row_getter("retail_cents bidincrement_cents bidfee_cents price_cents "
-                             "finalprice_cents")
+    by_id = {row[0]: row for row in _outcome_rows(
+        records, "auction_id retail_cents bidincrement_cents bidfee_cents price_cents "
+                 "finalprice_cents") if row[0] in stats_by_auction}
     buckets: dict = {0: [], 1: [], 2: []}
     for auction_id, stats in stats_by_auction.items():
         row = by_id.get(auction_id)
         if row is None:
             continue
-        retail, increment, own_fee, price, final = row_fields(row)
+        _, retail, increment, own_fee, price, final = row
         if retail <= 0 or increment <= 0:
             continue
         fee = own_fee if assumed_bidfee_cents is None else assumed_bidfee_cents

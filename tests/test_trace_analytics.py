@@ -197,6 +197,20 @@ def test_sub_cent_amount_is_rejected_however_small(text):
     assert outcome_of(_dollars_to_cents, text) == outcome_of(decimal_cents, text)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (EXAMPLE_ROW.replace("\t180\t", "\t" + "9" * 131_073 + "\t"),
+     "field larger than field limit (131072)"),
+    (EXAMPLE_ROW.replace("Schonmir1500", "Schon\rmir1500"), "new-line character seen"),
+])
+def test_a_row_the_csv_reader_refuses_rejects_only_that_row(bad, message):
+    # the csv reader raises on such a row and goes on with the next line
+    diagnostics = []
+    recs = parse_outcome_rows([EXAMPLE_ROW, bad, EXAMPLE_ROW.replace("259070", "259071")],
+                              diagnostics=diagnostics)
+    assert [r.auction_id for r in recs] == [259070, 259071]
+    assert len(diagnostics) == 1 and diagnostics[0].startswith(f"line 2: {message}")
+
+
 @pytest.mark.parametrize("text", ["0e30", "-0e30", "0E+26"])
 def test_zero_is_no_cents_whatever_its_exponent(text):
     # the range check read the exponent of a zero and called it out of range
@@ -361,7 +375,7 @@ MIXED_TRACE = [
     ("11 ct=9|cs=1|bh=1:a:1:6:0:#|lui=0", "missing tab between timestamp and probe"),
     ("nan\tct=9|bh=1:a:1:6:0:#|lui=0", "timestamp is not finite: 'nan'"),
     ("ten\tct=9|bh=1:a:1:6:0:#|lui=0", "could not convert string to float: 'ten'"),
-    ("12\t", "missing tab between timestamp and probe"),
+    ("12\t", "empty probe line"),
     ("13\tct=9|junk|lui=0", "probe chunk without '=': 'junk'"),
     ("14\tct=x|bh=|lui=0", "invalid literal for int() with base 10: 'x'"),
     ("15\tcs=1.5|bh=|lui=0", "invalid literal for int() with base 10: '1.5'"),
@@ -864,11 +878,48 @@ def test_parsed_data_leaves_the_collector_almost_nothing_to_walk():
     before += grown
     table = parse_outcome_rows(rows)
     bids, missing = reconstruct_bids(probes)
+    report = profit_margin(table)
     gc.collect()
     grown = len(gc.get_objects()) - before
-    assert (len(table), len(bids), missing) == (10_000, 5_000, 0)
-    # a tracked object per record or per event would add thousands
+    assert (len(table), len(bids), missing, report.included) == (10_000, 5_000, 0, 10_000)
+    # a tracked object per record, per event or per margin would add thousands
     assert grown <= 20
+
+
+def retained_bytes(build):
+    """(what build() returns, the bytes it still holds once it returns)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        gc.collect()
+        return built, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+MEMORY_ROWS = [outcome_row(100_000 + aid, "tv", "TV", 100 + aid, 31.26, 31.26, 6, 60,
+                           f"w{aid % 50}", 5) for aid in range(10_000)]
+
+
+def test_a_parsed_outcome_row_holds_few_bytes(shared_ints):
+    table, held = retained_bytes(lambda: parse_outcome_rows(MEMORY_ROWS))
+    # as a tuple of 17 fields with int objects for its ids and retail price a
+    # row takes about 292 bytes; as 17 column slots and its end time, about 187
+    assert len(table) == 10_000 and held / 10_000 < 240
+    # rows past the first chunks come back in order and whole
+    assert [(r.auction_id, r.retail_cents, r.winner) for r in table[4_090:4_100]] == [
+        (100_000 + aid, 10_000 + 100 * aid, f"w{aid % 50}") for aid in range(4_090, 4_100)]
+    assert table[-1] == parse_outcome_rows(MEMORY_ROWS[-1:])[0]
+
+
+def test_an_auction_margin_holds_few_bytes(shared_ints):
+    table = parse_outcome_rows(MEMORY_ROWS)
+    report, held = retained_bytes(lambda: profit_margin(table))
+    # a slotted AuctionMargin with its profit and margin objects takes about
+    # 129 bytes; four column slots take 32
+    assert report.included == 10_000 and held / 10_000 < 64
 
 
 # A traced bidpack auction with a closing duel, and rows of every kind the
@@ -933,7 +984,12 @@ def test_parsed_sequences_read_like_lists():
     assert records == list(records) and records[-2:] == list(records)[-2:]
     assert type(records[0]) is AuctionOutcomeRecord and records[0].winner == "b"
     assert records[5].price_cents == 2**63 + 1
+    margins = profit_margin(records).per_auction
+    assert margins == list(margins) and margins[1:] == list(margins)[1:]
+    assert type(margins[0]) is trace_analytics.AuctionMargin
+    assert margins[-1].profit_cents == 60 * (2**63 + 1)
     assert reconstruct_bids([]) == ([], 0) and parse_outcome_rows([]) == []
+    assert profit_margin([]).per_auction == []
 
 
 def test_parsed_probes_read_like_a_list():
