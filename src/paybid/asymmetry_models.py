@@ -8,23 +8,15 @@ expressed as a TwoGroupChain (solved by the engine exactly) and, where a
 closed form exists, also as an explicit formula so the two can cross-check
 each other.
 
-Every bid probability here comes from the indifference condition
-fee = pot (1 - mu), pot being the amount at stake for the bid in question, so
-a group's no-bid probability is a power of w = fee / pot. One expression
-gives them all, in log space:
-
-    beta = -expm1(eta),    eta = min(e log w + d, 0),
-    log w = -log1p((pot - fee) / fee),
-
-with an exponent e and an offset d for each leader (opening bid, A leads,
-B leads), and beta = 0 where the pot is at or below the fee. pot - fee is
-taken in cents, so w keeps its digits near 0 and near 1. Perception
-asymmetries follow one convention throughout: a player who believes the
-world is a symmetric auction with population m best-responds with the
-symmetric solution of that perceived game, e = (1/m, 1/(m-1), 1/(m-1)) and
-d = 0, that is beta = 1 - (fee / pot)^(1/(m-1)) after the opening bid. What
-actually happens is then governed by the true population and the true tie
-lottery.
+Every bid probability here is core_model._bid_prob, a power of w = fee / pot
+in log space, with an exponent e and an offset d for each leader (opening
+bid, A leads, B leads); _bid_probs is its numpy form, over the bid indices of
+an ascending auction. Perception asymmetries follow one convention
+throughout: a player who believes the world is a symmetric auction with
+population m best-responds with the symmetric solution of that perceived
+game, e = (1/m, 1/(m-1), 1/(m-1)) and d = 0, that is beta = 1 - (fee /
+pot)^(1/(m-1)) after the opening bid. What actually happens is then governed
+by the true population and the true tie lottery.
 """
 
 from __future__ import annotations
@@ -36,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core_model import AuctionSpec, max_bids, symmetric_beta
+from .core_model import AuctionSpec, _bid_prob, max_bids, symmetric_beta
 from .markov_engine import (_MAX_STEPS, _ROW_BLOCK, BetaFn, TransitionRow, TwoGroupChain,
                             _leader_tables)
 
@@ -102,12 +94,9 @@ _LEADERS = {None: 0, "A": 1, "B": 2}  # a group's parameters come in this order
 
 
 def _bid_probs(excess, exponent, offset=None):
-    """The module's bid probability, elementwise over numpy arrays or
-    scalars: -expm1(eta) with eta = min(exponent log w + offset, 0) and
-    log w = -log1p(excess), where excess = (pot - fee) / fee, and 0 where
-    excess is not positive (a pot at or below the fee). Without an offset
-    eta is never positive and such a pot gives log w = 0, so the cap and the
-    mask change nothing and are left out."""
+    """core_model._bid_prob elementwise over numpy arrays. Without an offset
+    eta is never positive and a pot at or below the fee gives log w = 0, so
+    the cap and the mask change nothing and are left out."""
     eta = np.log1p(np.maximum(excess, 0.0)) * -exponent
     if offset is not None:
         eta = np.where(excess > 0.0, np.minimum(eta + offset, 0.0), 0.0)
@@ -122,12 +111,12 @@ def _bid_probability(spec: AuctionSpec, fee_cents, value_cents, exponents,
 
     The pot is the value less the fixed price, or less the price the
     previous bid left in an ascending auction. At a fixed price it does not
-    depend on q, so the three probabilities come out of one evaluation; in
-    an ascending auction the expression runs over the bid indices.
+    depend on q: the three are scalars of _bid_prob, as symmetric_beta is,
+    and in an ascending auction _bid_probs runs over the bid indices.
     """
     if not spec.is_ascending:
-        betas = _bid_probs((value_cents - spec.price_cents - fee_cents) / fee_cents,
-                           np.array(exponents), offsets and np.array(offsets))
+        excess = (value_cents - spec.price_cents - fee_cents) / fee_cents
+        betas = [_bid_prob(excess, e, d) for e, d in zip(exponents, offsets or (0.0,) * 3)]
         return lambda q, leader: betas[_LEADERS[leader]]
 
     def beta(q, leader: Optional[str]):
@@ -216,11 +205,11 @@ def underestimate_uniform(spec: AuctionSpec, k: int) -> UnderestimateResult:
                          "use ascending_underestimate_revenue for ascending ones")
     _check_bias(spec, k)
     n = spec.population
-    w = spec.fee / (spec.value - spec.price)
+    excess = (spec.value_cents - spec.price_cents - spec.fee_cents) / spec.fee_cents
     exponent = (n - 1) / (n - k - 1)
-    mu = 1.0 - w ** exponent
+    mu = _bid_prob(excess, exponent)
     try:
-        revenue = spec.fee * w ** (-exponent) + spec.price
+        revenue = spec.fee * math.exp(math.log1p(excess) * exponent) + spec.price
     except OverflowError:
         revenue = math.inf
     if math.isinf(revenue):
@@ -337,43 +326,39 @@ def uncertain_population_beta(spec: AuctionSpec, belief: PopulationBelief) -> Un
     in i, a mean-preserving spread forces beta above the known-population
     solution, so uncertainty alone raises revenue.
 
-    The residual sum_i z_i (1 - beta)^(i-1) - w, w = b / (v-p), is monotone
-    decreasing in beta on [0, 1]: it is 1 - w at beta = 0 and z_1 - w at
-    beta = 1, where z_1 is the mass on i = 1. With w <= 1 and z_1 < w (both
-    checked) the bracket [0, 1] holds a sign change, and bisection halves it
-    until its ends are adjacent floats; the end with the smaller residual is
-    returned.
+    Newton solves f(eta) = sum_i z_i e^((i-1) eta) - w = 0 in eta = log(1 -
+    beta), w = b / (v-p), from beta_known's own eta_0 = log w / (n-1). f is
+    convex and increasing and f(eta_0) >= 0 by Jensen, so the steps fall and
+    never pass the root; the first that does not fall ends the solve, and
+    beta_uncertain >= beta_known by construction. f tends to z_1 - w (z_1 the
+    mass on i = 1), so w <= 1 and z_1 < w, both checked, give a root.
     """
     if spec.is_ascending:
         raise ValueError("fixed-price auctions only")
     if abs(belief.mean - spec.population) > 1e-9:
         raise ValueError(
             f"belief mean {belief.mean} must equal the true population {spec.population}")
-    w = spec.fee / (spec.value - spec.price)
+    pot_cents = spec.value_cents - spec.price_cents
+    w = spec.fee_cents / pot_cents
     if w > 1.0:
         raise ValueError("the bid fee exceeds the pot, no indifference point exists")
     z1 = sum(z for m, z in zip(belief.sizes, belief.weights) if m == 1)
     if z1 >= w:
         raise ValueError("too much belief mass on being alone, no indifference point exists")
     terms = tuple(zip(belief.sizes, belief.weights))
-
-    def residual_at(beta: float) -> float:
-        return sum(z * (1.0 - beta) ** (m - 1) for m, z in terms) - w
-
-    lo, hi = 0.0, 1.0
-    res_lo, res_hi = residual_at(lo), residual_at(hi)
+    eta = math.log1p((pot_cents - spec.fee_cents) / spec.fee_cents) * -(1 / (spec.population - 1))
     while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        residual, slope = -w, 0.0
+        for m, z in terms:
+            term = z * math.exp((m - 1) * eta)
+            residual += term
+            slope += (m - 1) * term
+        step = eta - residual / slope
+        if not step < eta:
             break
-        res_mid = residual_at(mid)
-        if res_mid > 0.0:
-            lo, res_lo = mid, res_mid
-        else:
-            hi, res_hi = mid, res_mid
-    beta2, residual = (lo, res_lo) if abs(res_lo) <= abs(res_hi) else (hi, res_hi)
-    beta1 = symmetric_beta(spec, 2)
-    return UncertainBeta(beta_known=beta1, beta_uncertain=beta2, residual=residual)
+        eta = step
+    return UncertainBeta(beta_known=symmetric_beta(spec, 2), beta_uncertain=0.0 - math.expm1(eta),
+                         residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +372,11 @@ def bidfee_asymmetry_chain(spec: AuctionSpec, k: int, fee_a: float,
     Group B believes everyone pays fee_b and plays that symmetric solution.
     Group A knows the split and mixes so that the indifference of whoever
     placed the last bid holds exactly; its probability therefore depends on
-    which group currently leads. In equilibrium every continuation happens
-    with probability 1 - fee_a/(v-p) regardless of the leader, which makes
-    the expected auction length (v-p)/fee_a, independent of fee_b.
+    which group currently leads. For k >= 2 every continuation happens with
+    probability 1 - fee_a/(v-p) regardless of the leader, which makes the
+    expected auction length (v-p)/fee_a, independent of fee_b. A lone A
+    (k = 1) cannot outbid itself, so an A-led round ends with probability
+    fee_b/(v-p): 180.195 bids at the defaults, not 200.
 
     With w = fee_b/(v-p) and r = fee_a/fee_b, A's no-bid probability is
     r^(1/k) w^(1/(n-1)) when B leads and r^(1/(k-1)) w^(1/(n-1)) when A
@@ -978,8 +965,8 @@ def full_info_equilibrium(values: Sequence[float], fees: Sequence[float],
 
         prod_{j != i} (1 - beta_j) = b_i / (v_i - p).
 
-    Taking eta_i = ln(1 - beta_i) and zeta_i = ln(b_i / (v_i - p)) turns this
-    into the linear system sum(eta) - eta_i = zeta_i, solved by
+    Taking eta_i = ln(1 - beta_i) and zeta_i = -log1p((v_i - p - b_i) / b_i)
+    turns this into the linear system sum(eta) - eta_i = zeta_i, solved by
     eta_i = sum(zeta)/(n-1) - zeta_i. A valid mixture needs eta_i <= 0; when
     some player's parameters push eta_i above 0 there is no interior
     equilibrium and the raw (out-of-range) solution is returned with the
@@ -997,7 +984,7 @@ def full_info_equilibrium(values: Sequence[float], fees: Sequence[float],
         raise ValueError("fees must be positive")
     if np.any(fees >= pots):
         raise ValueError("every fee must stay below the player's amount at stake")
-    zeta = np.log(fees / pots)
+    zeta = -np.log1p((pots - fees) / fees)
     eta = zeta.sum() / (n - 1) - zeta
     interior = bool(np.all(eta <= 1e-12))
     betas = -np.expm1(eta)

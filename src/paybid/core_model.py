@@ -15,7 +15,8 @@ places bid q is betting the fee that nobody places bid q+1, so in equilibrium
 
 where mu_q is the collective probability that bid q gets placed at all. The
 per-player probability beta_q then solves 1 - mu_q = (1 - beta_q)^(n-1); the
-very first bid has no leader, so its exponent is n instead of n-1.
+very first bid has no leader, so its exponent is n instead of n-1. _bid_prob
+is the package's one evaluation of such a power of w = fee / pot.
 
 Monetary amounts are integer cents at the interface (exact), floats internally.
 """
@@ -177,6 +178,24 @@ def _check_bid_index(spec: AuctionSpec, q: int) -> None:
             raise ValueError(f"bid index {q} beyond the last rational bid ({limit})")
 
 
+def _stake_cents(spec: AuctionSpec, q: int) -> int:
+    """The pot of bid q: the value less the price bid q - 1 leaves."""
+    _check_bid_index(spec, q)
+    if spec.is_ascending:
+        return spec.value_cents - spec.increment_cents * (q - 1)
+    return spec.value_cents - spec.price_cents
+
+
+def _bid_prob(excess: float, exponent: float, offset: float = 0.0) -> float:
+    """The bid probability -expm1(min(exponent log w + offset, 0)), log w =
+    -log1p(excess), excess = (pot - fee) / fee taken in cents so that w keeps
+    its digits near 0 and 1; 0 where the pot is at or below the fee.
+    asymmetry_models._bid_probs is the same expression over numpy arrays."""
+    if excess <= 0.0:
+        return 0.0
+    return 0.0 - math.expm1(min(math.log1p(excess) * -exponent + offset, 0.0))
+
+
 def symmetric_mu(spec: AuctionSpec, q: int) -> float:
     """Collective probability that bid q is placed, given q-1 bids so far.
 
@@ -184,12 +203,7 @@ def symmetric_mu(spec: AuctionSpec, q: int) -> float:
     The raw expression is clamped at 0; with (v-b)/s an integer the clamp never
     fires for q <= Q+1 and mu_{Q+1} is exactly 0.
     """
-    _check_bid_index(spec, q)
-    if spec.is_ascending:
-        at_stake = spec.value_cents - spec.increment_cents * (q - 1)
-    else:
-        at_stake = spec.value_cents - spec.price_cents
-    raw = 1.0 - spec.fee_cents / at_stake
+    raw = 1.0 - spec.fee_cents / _stake_cents(spec, q)
     return max(raw, 0.0)
 
 
@@ -224,13 +238,12 @@ def symmetric_beta(spec: AuctionSpec, q: int, first_bid: Optional[bool] = None) 
 
     first_bid selects the exponent: the opening bid has n potential bidders
     (nobody leads yet) while every later bid has n-1. When omitted it is
-    inferred from q == 1.
+    inferred from q == 1. The no-bid probability is (fee / pot)^(1/eligible).
     """
     if first_bid is None:
         first_bid = q == 1
-    mu = symmetric_mu(spec, q)
     eligible = spec.population if first_bid else spec.population - 1
-    return beta_from_mu(mu, eligible)
+    return _bid_prob((_stake_cents(spec, q) - spec.fee_cents) / spec.fee_cents, 1 / eligible)
 
 
 def equilibrium_point(spec: AuctionSpec, q: int) -> EquilibriumPoint:

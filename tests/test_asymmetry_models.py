@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from paybid import asymmetry_models
 from paybid.core_model import AuctionSpec, beta_from_mu, max_bids, symmetric_beta
-from paybid.markov_engine import (_ROW_BLOCK, TwoGroupChain, evolve_recurrence,
-                                  expected_revenue_from_series)
+from paybid.markov_engine import (_ROW_BLOCK, TwoGroupChain, absorption_closed_form,
+                                  evolve_recurrence, expected_revenue_from_series)
 from paybid.asymmetry_models import (
     CommittedPolicy,
     GroupProfile,
@@ -296,6 +296,18 @@ def test_bidfee_expected_length_ignores_the_other_fee():
         assert length == pytest.approx(200.0, abs=1e-7)
     for one, two in zip(lengths, lengths[1:]):
         assert abs(one - two) <= 1e-9
+
+
+def test_bidfee_length_is_the_fee_ratio_unless_one_player_pays_fee_a():
+    # a lone A cannot outbid itself, so its led rounds end more often
+    for k in (1, 2, 10, 49):
+        chain = bidfee_asymmetry_chain(FIX, k, 0.5)
+        length = absorption_closed_form(chain).expected_bids
+        assert length == pytest.approx(evolve_recurrence(chain).expected_bids, abs=1e-9)
+        if k == 1:
+            assert length == pytest.approx(180.195, abs=5e-4)
+        else:
+            assert length == pytest.approx(200.0, abs=1e-9)
 
 
 def test_bidfee_equal_fees_collapse_to_symmetric():
@@ -951,6 +963,82 @@ def test_bid_probabilities_match_the_paper_within_four_ulps(name, case):
                 want = float(1 - no_bid)
                 got = beta(q, leader)
                 assert abs(got - want) <= 4 * float(kappa) * math.ulp(want), (q, leader, got, want)
+
+
+@pytest.mark.parametrize("name", ACCURACY_SPECS)
+def test_symmetric_closed_forms_match_the_paper_within_two_ulps(name):
+    spec = ACCURACY_SPECS[name]
+    n, fee = spec.population, D(spec.fee_cents)
+    Q = int(max_bids(spec)) if spec.is_ascending else 1
+    for q in sorted({1, 2, Q // 2, Q, Q + 1} - {0}):
+        paid = spec.increment_cents * (q - 1) if spec.is_ascending else spec.price_cents
+        with localcontext() as ctx:
+            ctx.prec = 40
+            opening, _, later = no_bid_world(D(spec.value_cents - paid), fee, n)
+            want = float(1 - (opening if q == 1 else later))
+        got = symmetric_beta(spec, q)
+        assert abs(got - want) <= 2 * math.ulp(want), (q, got, want)
+    if spec.is_ascending:
+        return
+    chain = underestimate_chain(spec, 0)
+    for q, leader in ((1, None), (2, "A"), (2, "B")):
+        assert chain.beta_a(q, leader) == chain.beta_b(q, leader) == symmetric_beta(spec, q)
+    for k in (-20, -1, 0, 10, 40):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            w = fee / D(spec.value_cents - spec.price_cents)
+            want = float(1 - w ** (D(n - 1) / (n - k - 1)))
+        got = underestimate_uniform(spec, k).mu
+        assert abs(got - want) <= 2 * math.ulp(want), (k, got, want)
+
+
+def acceptance_05_beliefs(count: int) -> list:
+    """Mean-50 beliefs drawn the way acceptance 05 draws them."""
+    rng = np.random.default_rng(20250819)
+    beliefs = []
+    for _ in range(count):
+        style = int(rng.integers(0, 3))
+        if style == 0:
+            d = int(rng.integers(1, 49))
+            beliefs.append(PopulationBelief((50 - d, 50 + d), (0.5, 0.5)))
+        elif style == 1:
+            low = int(rng.integers(2, 50))
+            high = int(rng.integers(51, 200))
+            w = (high - 50) / (high - low)
+            beliefs.append(PopulationBelief((low, high), (w, 1 - w)))
+        else:
+            d = int(rng.integers(1, 49))
+            center = float(rng.uniform(0.1, 0.8))
+            half = (1 - center) / 2
+            beliefs.append(PopulationBelief((50 - d, 50, 50 + d), (half, center, half)))
+    return beliefs
+
+
+def uncertain_root(spec, belief) -> float:
+    """The beta solving sum_i z_i (1 - beta)^(i-1) = fee / pot, by Newton in
+    x = 1 - beta in 40-digit Decimal, from the known-population x."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        w = D(spec.fee_cents) / D(spec.value_cents - spec.price_cents)
+        terms = [(m, D(z)) for m, z in zip(belief.sizes, belief.weights)]
+        x = w ** (D(1) / (spec.population - 1))
+        for _ in range(100):
+            f = sum(z * x ** (m - 1) for m, z in terms) - w
+            slope = sum(z * (m - 1) * x ** (m - 2) for m, z in terms if m > 1)
+            x, last = x - f / slope, x
+            if abs(x - last) < D(10) ** -38:
+                return float(1 - x)
+    raise AssertionError("the reference root did not converge")
+
+
+@pytest.mark.parametrize("name, ulps", [("FIX", 4), ("w=1e-8", 4), ("w=0.99", 409)])
+def test_uncertain_beta_matches_a_40_digit_root(name, ulps):
+    spec = ACCURACY_SPECS[name]
+    for belief in acceptance_05_beliefs(200):
+        out = uncertain_population_beta(spec, belief)
+        want = uncertain_root(spec, belief)
+        assert abs(out.beta_uncertain - want) <= ulps * math.ulp(want), (belief, want)
+        assert out.beta_uncertain >= out.beta_known, belief
 
 
 # ---------------------------------------------------------------------------

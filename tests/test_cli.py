@@ -679,6 +679,13 @@ def test_import_loads_neither_numpy_nor_the_model_modules(module):
     assert sorted(loaded & NUMPY_AND_MODELS) == []
 
 
+def test_core_model_loads_no_numpy():
+    # the symmetric model and its bid probability are plain math
+    loaded = modules_after("import paybid.core_model")
+    assert "paybid.core_model" in loaded
+    assert sorted(m for m in loaded if m.split(".")[0] == "numpy") == []
+
+
 def test_import_cli_loads_every_layer_module():
     # the benchmark's tracer imports paybid.cli and then wraps the functions
     # of every layer module it finds loaded
