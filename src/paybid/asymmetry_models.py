@@ -353,10 +353,10 @@ def uncertain_population_beta(spec: AuctionSpec, belief: PopulationBelief) -> Un
             term = z * math.exp((m - 1) * eta)
             residual += term
             slope += (m - 1) * term
-        step = eta - residual / slope
-        if not step < eta:
+        next_eta = eta - residual / slope
+        if not next_eta < eta:
             break
-        eta = step
+        eta = next_eta
     return UncertainBeta(beta_known=symmetric_beta(spec, 2), beta_uncertain=0.0 - math.expm1(eta),
                          residual=residual)
 
