@@ -93,13 +93,11 @@ class GroupProfile:
 _LEADERS = {None: 0, "A": 1, "B": 2}  # a group's parameters come in this order
 
 
-def _bid_probs(excess, exponent, offset=None):
-    """core_model._bid_prob elementwise over numpy arrays. Without an offset
+def _bid_probs(excess, exponent):
+    """core_model._bid_prob without an offset, elementwise over numpy arrays:
     eta is never positive and a pot at or below the fee gives log w = 0, so
-    the cap and the mask change nothing and are left out."""
+    neither the cap nor the mask is needed."""
     eta = np.log1p(np.maximum(excess, 0.0)) * -exponent
-    if offset is not None:
-        eta = np.where(excess > 0.0, np.minimum(eta + offset, 0.0), 0.0)
     return 0.0 - np.expm1(eta)  # 0.0 - x is never -0.0
 
 
@@ -112,7 +110,8 @@ def _bid_probability(spec: AuctionSpec, fee_cents, value_cents, exponents,
     The pot is the value less the fixed price, or less the price the
     previous bid left in an ascending auction. At a fixed price it does not
     depend on q: the three are scalars of _bid_prob, as symmetric_beta is,
-    and in an ascending auction _bid_probs runs over the bid indices.
+    and in an ascending auction _bid_probs runs over the bid indices. Only
+    fixed-price chains take offsets.
     """
     if not spec.is_ascending:
         excess = (value_cents - spec.price_cents - fee_cents) / fee_cents
@@ -122,7 +121,7 @@ def _bid_probability(spec: AuctionSpec, fee_cents, value_cents, exponents,
     def beta(q, leader: Optional[str]):
         at = _LEADERS[leader]
         excess = (value_cents - fee_cents - spec.increment_cents * (q - 1)) / fee_cents
-        return _bid_probs(excess, exponents[at], offsets and offsets[at])
+        return _bid_probs(excess, exponents[at])
 
     return beta
 
@@ -205,11 +204,11 @@ def underestimate_uniform(spec: AuctionSpec, k: int) -> UnderestimateResult:
                          "use ascending_underestimate_revenue for ascending ones")
     _check_bias(spec, k)
     n = spec.population
-    excess = (spec.value_cents - spec.price_cents - spec.fee_cents) / spec.fee_cents
+    pot_cents = spec.value_cents - spec.price_cents
     exponent = (n - 1) / (n - k - 1)
-    mu = _bid_prob(excess, exponent)
+    mu = _bid_prob((pot_cents - spec.fee_cents) / spec.fee_cents, exponent)
     try:
-        revenue = spec.fee * math.exp(math.log1p(excess) * exponent) + spec.price
+        revenue = spec.fee * (pot_cents / spec.fee_cents) ** exponent + spec.price
     except OverflowError:
         revenue = math.inf
     if math.isinf(revenue):
@@ -346,6 +345,7 @@ def uncertain_population_beta(spec: AuctionSpec, belief: PopulationBelief) -> Un
     if z1 >= w:
         raise ValueError("too much belief mass on being alone, no indifference point exists")
     terms = tuple(zip(belief.sizes, belief.weights))
+    # symmetric_beta(spec, 2)'s eta bit for bit, which beta_uncertain >= beta_known needs
     eta = math.log1p((pot_cents - spec.fee_cents) / spec.fee_cents) * -(1 / (spec.population - 1))
     while True:
         residual, slope = -w, 0.0

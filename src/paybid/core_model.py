@@ -190,7 +190,7 @@ def _bid_prob(excess: float, exponent: float, offset: float = 0.0) -> float:
     """The bid probability -expm1(min(exponent log w + offset, 0)), log w =
     -log1p(excess), excess = (pot - fee) / fee taken in cents so that w keeps
     its digits near 0 and 1; 0 where the pot is at or below the fee.
-    asymmetry_models._bid_probs is the same expression over numpy arrays."""
+    asymmetry_models._bid_probs is its offset-free form over numpy arrays."""
     if excess <= 0.0:
         return 0.0
     return 0.0 - math.expm1(min(math.log1p(excess) * -exponent + offset, 0.0))
