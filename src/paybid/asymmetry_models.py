@@ -29,8 +29,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core_model import AuctionSpec, _bid_prob, max_bids, symmetric_beta
-from .markov_engine import (_MAX_STEPS, _ROW_BLOCK, BetaFn, TransitionRow, TwoGroupChain,
-                            _leader_tables)
+from .markov_engine import _MAX_STEPS, BetaFn, TransitionRow, TwoGroupChain, _leader_tables
 
 __all__ = [
     "GroupProfile",
@@ -132,12 +131,17 @@ def _symmetric_world(m: int) -> tuple:
     return 1 / m, 1 / (m - 1), 1 / (m - 1)
 
 
-def _chain(spec: AuctionSpec, **fields) -> TwoGroupChain:
-    """A chain on the spec's price path: increment, price and
-    time_homogeneous come from the spec, every other field from the caller."""
-    return TwoGroupChain(increment=spec.increment if spec.is_ascending else 0.0,
-                         price=0.0 if spec.is_ascending else spec.price,
-                         time_homogeneous=not spec.is_ascending, **fields)
+def _chain(spec: AuctionSpec, stake_cents=None, **fields) -> TwoGroupChain:
+    """A chain on the spec's price path: increment, price, time_homogeneous
+    and an ascending chain's horizon come from the spec, every other field
+    from the caller. Nobody bids past index Q + 1, Q = floor(stake /
+    increment), the stake being the largest value less fee of any group (the
+    spec's by default), so the rows from Q + 2 on are alike."""
+    if not spec.is_ascending:
+        return TwoGroupChain(price=spec.price, time_homogeneous=True, **fields)
+    stake = spec.value_cents - spec.fee_cents if stake_cents is None else stake_cents
+    return TwoGroupChain(increment=spec.increment,
+                         horizon=max(1, int(stake // spec.increment_cents) + 1), **fields)
 
 
 def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile,
@@ -160,14 +164,10 @@ def two_group_chain(spec: AuctionSpec, profile_a: GroupProfile,
         fees.append(spec.fee if profile.fee is None else profile.fee)
         perceived = profile.perceived_population or spec.population
         betas.append(_bid_probability(spec, fee_cents, value_cents, _symmetric_world(perceived)))
-    horizon = None
-    if spec.is_ascending:
-        # Nobody bids past index Q + 1 of the largest value less fee a group
-        # stakes, Q = floor((value - fee) / increment); beliefs move no pot.
-        horizon = max(1, int(max(stakes) // spec.increment_cents) + 1)
-    return _chain(spec, group_a_size=profile_a.size, group_b_size=profile_b.size,
+    # beliefs move no pot, so the largest stake bounds every group's bids
+    return _chain(spec, max(stakes), group_a_size=profile_a.size, group_b_size=profile_b.size,
                   beta_a=betas[0], beta_b=betas[1], fee_a=fees[0], fee_b=fees[1],
-                  horizon=horizon, notes=tuple(notes))
+                  notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +299,10 @@ class PopulationBelief:
         for m in self.sizes:
             if not isinstance(m, int) or m < 1:
                 raise ValueError("belief sizes must be integers >= 1")
-        for z in self.weights:
-            if z < 0:
-                raise ValueError("belief weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        for z in self.weights:  # NaN fails each comparison
+            if not z >= 0:
+                raise ValueError(f"belief weights must be nonnegative, got {z}")
+        if not abs(sum(self.weights) - 1.0) <= 1e-9:
             raise ValueError("belief weights must sum to 1")
 
     @property
@@ -598,7 +598,7 @@ def shill_profit(spec: AuctionSpec, policy: ShillPolicy) -> ShillOutcome:
     model = _shill_model(spec, policy)
     if isinstance(model, str):
         return ShillOutcome(0.0, 0.0, 0.0, 0.0, 0.0, notes=(model,))
-    (profit, won, shill_bids), notes = _expected(spec, model)
+    (profit, won, shill_bids), notes = _expected(model)
     # the wins sum to one only to within rounding, so a shill that places its
     # whole budget on every path can come out an ulp or two above it
     return ShillOutcome(policy.entry_prob * profit, policy.entry_prob * won, profit, won,
@@ -657,7 +657,7 @@ def committed_player_profit(spec: AuctionSpec, policy: CommittedPolicy) -> Commi
     model = _committed_model(spec, policy.retail_multiplier)
     if isinstance(model, str):
         return CommittedOutcome(0.0, 0.0, 0.0, 0.0, notes=(model,))
-    payoffs, notes = _expected(spec, model)
+    payoffs, notes = _expected(model)
     return CommittedOutcome(*payoffs, notes=notes)
 
 
@@ -755,36 +755,31 @@ _LIVE_MASS_TOL = 1e-15
 _MERGE_CHUNK = 32  # bid indices whose rows _counted_rows merges at once
 
 
-def _row_block(spec: AuctionSpec) -> int:
-    """Bid indices per row table of a counted player's chains (rivals stop at Q + 1)."""
-    return min(int(max_bids(spec)) + 1, _ROW_BLOCK) if spec.is_ascending else _ROW_BLOCK
-
-
-def _expected(spec: AuctionSpec, model: _CountedModel) -> tuple[tuple, tuple]:
+def _expected(model: _CountedModel) -> tuple[tuple, tuple]:
     """Expected payoffs of a counted-player model, and the solve's notes:
     the outcome, affine in the total, at each (leader, count) cell's mean
     final bid index indexed_wins / wins, weighted by the cell's wins."""
-    occupancy = _counted_occupancy(spec, model)
+    occupancy = _counted_occupancy(model)
     wins = occupancy.wins
     total = np.divide(occupancy.indexed_wins, wins, out=np.zeros_like(wins), where=wins > 0)
     payoffs = model.outcome(np.array([[True], [False]]), np.arange(wins.shape[1]), total)
     return tuple(float((wins * payoff).sum()) for payoff in payoffs), occupancy.notes
 
 
-def _counted_occupancy(spec: AuctionSpec, model: _CountedModel) -> _CountedOccupancy:
+def _counted_occupancy(model: _CountedModel) -> _CountedOccupancy:
     """Solve a counted-player chain: one sweep over the count at a fixed
     price, where rows and predicate ignore the bid index, else bid by bid."""
     bidding, silent, bids, _ = model
-    if not spec.is_ascending:
+    if bidding.time_homogeneous:
         return _counted_by_level(bidding, silent, bids)
     # A never holds more bids than the first count at which it passes on
     # bid 2, since the predicate only shrinks with q; the opening gives it
     # one. A lone A under the uniform rule cannot outbid itself, so each of
     # its bids after the first follows a rival bid, and rivals stop after
-    # bid Q+1: it places at most Q+2 bids.
-    cap = int(max_bids(spec)) + 2 if bidding.tie_rule == "uniform" else math.inf
+    # the horizon, bid Q+1: it places at most Q+2 bids.
+    cap = bidding.horizon + 1 if bidding.tie_rule == "uniform" else math.inf
     top = next(c for c in itertools.count(1) if c >= cap or not bids(c, 2))
-    return _counted_by_bid_index(bidding, silent, bids, top, _row_block(spec))
+    return _counted_by_bid_index(bidding, silent, bids, top)
 
 
 def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
@@ -825,7 +820,7 @@ def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
 
 
 def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
-                          top: int, block: int) -> _CountedOccupancy:
+                          top: int) -> _CountedOccupancy:
     """Ascending occupancy stepped bid by bid over (leader, A's count)
     arrays, until the live mass drops below _LIVE_MASS_TOL.
 
@@ -855,7 +850,7 @@ def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: C
     wins, indexed = np.zeros((2, width)), np.zeros((2, width))
     notes = ()
     t = 1  # the step the chunk starts at
-    for rows in _counted_rows(bidding, silent, bids, top, block):
+    for rows in _counted_rows(bidding, silent, bids, top):
         n = min(len(rows), _MAX_STEPS - t + 1)
         for source, kernel, moved in zip(sources[:n], rows[:n, :, :2], after[1:n + 1]):
             np.multiply(source, kernel, flows)
@@ -880,26 +875,27 @@ def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: C
     return _CountedOccupancy(wins, indexed, notes)
 
 
-def _counted_rows(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable, top: int,
-                  block: int):
+def _counted_rows(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable, top: int):
     """Rows in force at q = 2, 3, ... without end, one rows[q, leader,
     to_a/to_b/absorb, count] array per chunk of up to _MERGE_CHUNK bid
     indices: the bidding chain's where the predicate holds, the silent
     chain's elsewhere.
 
-    Each chain's rows come from tables of `block` bid indices; they are
-    merged a chunk at a time, which keeps the merged array small however
-    many counts there are.
+    Each chain's rows come a block at a time (_leader_tables; the two share
+    a horizon, so their blocks line up); they are merged a chunk at a time,
+    which keeps the merged array small however many counts there are.
     """
     counts = np.arange(top + 1)
-    pairs = zip(_leader_tables(bidding, block), _leader_tables(silent, block))
-    for q, pair in zip(itertools.count(2, block), pairs):
+    q = 2
+    for pair in zip(_leader_tables(bidding), _leader_tables(silent)):
         # tables[chain][r, leader, to_a/to_b/absorb, 0] for bid index q + r
         tables = [table.transpose(2, 0, 1)[..., None] for table in pair]
+        block = len(tables[0])
         for r in range(0, block, _MERGE_CHUNK):
             qs = np.arange(q + r, q + min(r + _MERGE_CHUNK, block))
             on = bids(counts, qs[:, None, None, None])  # against [q, leader, column, count]
             yield np.where(on, *(table[r:r + len(qs)] for table in tables))
+        q += block
 
 
 # ---------------------------------------------------------------------------

@@ -427,15 +427,27 @@ def run_analyze(args) -> None:
     _write_output([row], _meta(args, config), args.out, args.format)
 
 
+_MAX_SWEEP_POINTS = 1_000_000
+
+
 def sweep_values(start: float, stop: float, step: float, kind: type) -> list:
-    """Inclusive grid from start to stop; integer parameters must land on ints."""
+    """Inclusive grid from start to stop; integer parameters must land on ints.
+
+    A grid of more than _MAX_SWEEP_POINTS points is refused, counted from the
+    bounds before any point is built, and again while they are built, where
+    a step below the ulp of start stalls start + i * step.
+    """
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        _usage_error("--from, --to and --step must be finite")
     if step <= 0:
         _usage_error("--step must be positive")
     if stop < start:
         _usage_error("--to must not be below --from")
+    too_many = f"the sweep grid has more than {_MAX_SWEEP_POINTS} points"
+    if (stop - start + 1e-9) / step >= _MAX_SWEEP_POINTS:  # its floor, plus one, points
+        _usage_error(too_many)
     values = []
-    i = 0
-    while True:
+    for i in range(_MAX_SWEEP_POINTS + 1):
         raw = start + i * step
         if raw > stop + 1e-9:
             break
@@ -446,7 +458,8 @@ def sweep_values(start: float, stop: float, step: float, kind: type) -> list:
             values.append(int(rounded))
         else:
             values.append(float(raw))
-        i += 1
+    else:
+        _usage_error(too_many)
     if not values:
         _usage_error("empty sweep range")
     return values

@@ -187,7 +187,10 @@ class TwoGroupChain:
     Fees are per-bid dollar amounts charged to whichever group places the bid.
     Exactly one of increment / price should be nonzero except for the 100%-off
     case where both are 0. time_homogeneous marks chains whose rows do not
-    depend on q, which unlocks the closed-form absorption solve.
+    depend on q, which unlocks the closed-form absorption solve. horizon, if
+    set, is where the rows stop changing: from bid index horizon + 1 on,
+    every row equals the row at horizon + 1 (a time-homogeneous chain acts
+    as horizon 1). It bounds the rows, not the auction's length.
     """
 
     group_a_size: int
@@ -396,17 +399,21 @@ class OccupancySeries:
 _MAX_STEPS = 10_000_000
 
 
-def _leader_tables(chain: TwoGroupChain, block: int) -> Iterator[np.ndarray]:
+def _leader_tables(chain: TwoGroupChain) -> Iterator[np.ndarray]:
     """Rows out of A's and B's leads at q = 2, 3, ..., without end, as one
-    [A/B leads, to_a/to_b/absorb, r] array per `block` bid indices: a
-    time-homogeneous chain repeats its kernel's two led rows, any other
-    chain reads a row table per leader and block.
+    [A/B leads, to_a/to_b/absorb, r] array per block of min(chain.horizon,
+    _ROW_BLOCK) bid indices: a row table per leader while the block starts
+    at or before the horizon (1 for a time-homogeneous chain), then one
+    array of the led rows at horizon + 1, repeated.
     """
-    if chain.time_homogeneous:
-        yield from itertools.repeat(np.repeat(chain._kernel()[1:, :, None], block, axis=2))
-    else:
-        for q in itertools.count(2, block):
-            yield np.array([chain.row_table(leader, q, q + block) for leader in ("A", "B")])
+    horizon = 1 if chain.time_homogeneous else chain.horizon
+    block = min(chain.horizon or _ROW_BLOCK, _ROW_BLOCK)
+    q = 2
+    while horizon is None or q <= horizon:
+        yield np.array([chain.row_table(leader, q, q + block) for leader in ("A", "B")])
+        q += block
+    led = chain._kernel(((horizon + 1, "A"), (horizon + 1, "B")))
+    yield from itertools.repeat(np.repeat(led[:, :, None], block, axis=2))
 
 
 def _prefix_products(kernels: np.ndarray) -> np.ndarray:
@@ -437,33 +444,29 @@ def evolve_recurrence(
         P_A(t+1) = P_A(t) row_A.to_a + P_B(t) row_B.to_a    (same for B)
         end_X(t) = P_X(t) * row_X.absorb(q = t+1)
 
-    Iteration stops when the live mass drops below residual_tol, at the
-    horizon (chain's own, or the argument), or after max_steps, which logs a
-    warning and adds a note. Steps are taken a block of bid indices at a time: within a
-    block the occupancy after each step is the block's entry occupancy times
-    an inclusive prefix product of the 2x2 kernels (_prefix_products), and
-    ends, the running absorbed mass and the conservation error follow with
-    numpy, the absorbed mass summed in step order. A time-homogeneous chain
-    computes its products once for every block; any other chain computes
-    them from a row table per block of min(horizon, _ROW_BLOCK) bid indices.
+    Iteration stops when the live mass drops below residual_tol, after
+    `horizon` steps if that is given, or after max_steps, which logs a
+    warning and adds a note. Steps are taken a block of bid indices at a time
+    (_leader_tables): within a block the occupancy after each step is the
+    block's entry occupancy times an inclusive prefix product of the 2x2
+    kernels (_prefix_products), and ends, the running absorbed mass and the
+    conservation error follow with numpy, the absorbed mass summed in step
+    order. A block of repeated rows computes its products once.
     """
-    if horizon is None:
-        horizon = chain.horizon
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
     occupancy = first_bid_distribution(chain, conditioned=True)
     # the most steps to take; the first is taken whatever max_steps says
     limit = max(1, max_steps if horizon is None else min(horizon, max_steps))
-    block = _ROW_BLOCK if horizon is None else min(horizon, _ROW_BLOCK)
     fields = [[], [], [], []]  # p_a, p_b, end_a, end_b by step, one array per block
     notes = ()
     max_err = 0.0
     ended = 0.0
-    # rows[leader, to_a/to_b/absorb, r] at q = t + 1 + r; t: the block's first step
-    for t, rows in zip(itertools.count(1, block), _leader_tables(chain, block)):
-        if t == 1 or not chain.time_homogeneous:
-            prods = _prefix_products(rows[:, :2])
-        n = min(block, limit - t + 1)
+    t, seen = 1, None  # t: the block's first step
+    for rows in _leader_tables(chain):  # rows[leader, to_a/to_b/absorb, r] at q = t + 1 + r
+        if rows is not seen:
+            prods, seen = _prefix_products(rows[:, :2]), rows
+        n = min(rows.shape[2], limit - t + 1)
         after = occupancy[0] * prods[0, :, :n] + occupancy[1] * prods[1, :, :n]
         p_a, p_b = np.empty(n), np.empty(n)
         p_a[0], p_b[0] = occupancy
@@ -486,6 +489,7 @@ def evolve_recurrence(
             import logging  # loaded on the first warning, not with the model
             logging.getLogger(__name__).warning(notes[0])
             break
+        t += rows.shape[2]
     if max_err > 1e-9:
         raise ArithmeticError(f"occupancy mass leaked by {max_err:.3e}, chain rows are inconsistent")
     # Each field's blocks are released once it is joined, so the history is

@@ -28,9 +28,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .asymmetry_models import CommittedPolicy, _committed_model, _row_block, _shill_model
+from .asymmetry_models import CommittedPolicy, _committed_model, _shill_model
 from .core_model import AuctionSpec, symmetric_beta
-from .markov_engine import _ROW_BLOCK, TwoGroupChain, _leader_tables
+from .markov_engine import TwoGroupChain, _leader_tables
 
 __all__ = [
     "PlayerPolicy",
@@ -233,9 +233,8 @@ def simulate_chain(
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    block = _ROW_BLOCK if chain.horizon is None else min(chain.horizon, _ROW_BLOCK)
     success, winner_a, bids_a, total_bids = _simulate_counted(
-        chain, chain, lambda count, q: True, trials, rng, max_rounds, block)
+        chain, chain, lambda count, q: True, trials, rng, max_rounds)
     successes = int(success.sum())
     if successes == 0:
         raise RuntimeError("no trial received an opening bid")
@@ -270,8 +269,8 @@ _MAX_SHILL_ROUNDS = 1_000_000
 
 
 def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
-                      trials: int, rng: np.random.Generator, max_rounds: int,
-                      block: int) -> tuple[np.ndarray, ...]:
+                      trials: int, rng: np.random.Generator,
+                      max_rounds: int) -> tuple[np.ndarray, ...]:
     """Lockstep trials of a two-group chain whose rows switch on A's count.
 
     Each trial counts group A's placed bids. The opening bid is drawn
@@ -280,9 +279,10 @@ def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Calla
     chain its count puts in force (the bidding chain while bids(count, q)
     holds, the silent one otherwise), the rows evolve_recurrence and the
     counted-player solvers step over: below absorb the auction ends, below
-    absorb + to_a group A places the bid, otherwise group B does. Row tables
-    come `block` bid indices at a time. Returns, per trial, whether the
-    auction opened, whether A won, A's bids and all bids.
+    absorb + to_a group A places the bid, otherwise group B does. Rows come
+    a block at a time (_leader_tables; the two chains share a horizon).
+    Returns, per trial, whether the auction opened, whether A won, A's bids
+    and all bids.
     """
     opening = bidding.opening_row()
     u = rng.random(trials)
@@ -294,7 +294,7 @@ def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Calla
     bids_a = np.zeros(trials, dtype=np.int64)
     total_bids = np.zeros(trials, dtype=np.int64)
     # each step's rows[2 * (A bids) + (A leads), to_a/to_b/absorb]
-    pairs = zip(_leader_tables(silent, block), _leader_tables(bidding, block))
+    pairs = zip(_leader_tables(silent), _leader_tables(bidding))
     rows = (by_state for pair in pairs
             for by_state in np.concatenate([table[::-1] for table in pair]).transpose(2, 0, 1))
     for t, by_state in enumerate(rows, start=1):
@@ -317,13 +317,12 @@ def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Calla
     return success, won, bids_a, total_bids
 
 
-def _simulate_model(spec: AuctionSpec, model, trials: int, rng: np.random.Generator,
-                    max_rounds: int) -> tuple:
+def _simulate_model(model, trials: int, rng: np.random.Generator, max_rounds: int) -> tuple:
     """Per-trial payoffs of a counted player declared by an asymmetry model
     (_shill_model, _committed_model): _simulate_counted runs its chains and
     stop rule, and the model's outcome prices each finished trial."""
     _, won, own, total = _simulate_counted(model.bidding, model.silent, model.bids, trials, rng,
-                                           max_rounds, _row_block(spec))
+                                           max_rounds)
     return model.outcome(won, own, total)
 
 
@@ -366,7 +365,7 @@ def simulate_shill(spec: AuctionSpec, policy, trials: int, seed: int = 0) -> Shi
     model = _shill_model(spec, policy)
     if n_in and not isinstance(model, str):
         profits[entered], shill_won[entered], _ = _simulate_model(
-            spec, model, n_in, rng, _MAX_SHILL_ROUNDS)
+            model, n_in, rng, _MAX_SHILL_ROUNDS)
     return ShillSim(profits=profits, shill_won=shill_won, entered=entered)
 
 
@@ -420,4 +419,4 @@ def simulate_committed(spec: AuctionSpec, retail_multiplier: float, trials: int,
         return CommittedSim(zeros, zeros.copy(), np.zeros(trials, dtype=bool),
                             np.zeros(trials, dtype=np.int64))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return CommittedSim(*_simulate_model(spec, model, trials, rng, max_rounds))
+    return CommittedSim(*_simulate_model(model, trials, rng, max_rounds))

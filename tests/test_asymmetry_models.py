@@ -245,6 +245,12 @@ def test_belief_validation():
         PopulationBelief((0, 100), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+def test_belief_rejects_nan_weights(weights):
+    with pytest.raises(ValueError):
+        PopulationBelief((30, 70), weights)
+
+
 def test_belief_with_heavy_singleton_is_infeasible():
     # mass on "I am alone" above b / (v - p) leaves no root in (0, 1)
     spec = AuctionSpec.fixed_price(100, 1, 0, 50)
@@ -537,6 +543,40 @@ def test_counted_solvers_build_row_tables_in_bounded_blocks(monkeypatch, solve):
     assert spans and max(spans) <= _ROW_BLOCK
 
 
+@pytest.mark.parametrize("build", [
+    lambda: underestimate_chain(ASC, 5),
+    lambda: mixed_estimates_chain(ASC, 5),
+    *(lambda ids=ids, phase=phase: getattr(shill_chain(ASC, ShillPolicy(1.0, 5, ids)), phase)
+      for ids in (1, 2) for phase in ("active", "spent")),
+    lambda: _committed_model(ASC, 1.5).bidding,
+    lambda: _committed_model(ASC, 1.5).silent,
+], ids=["underestimate", "mixed", "shill-active", "shill-spent", "shill-identities2-active",
+        "shill-identities2-spent", "committed-bidding", "committed-silent"])
+def test_every_ascending_chain_repeats_its_rows_past_the_horizon(build):
+    chain = build()
+    assert chain.horizon == int(max_bids(ASC)) + 1
+    for leader in "AB":
+        row = chain.transitions(chain.horizon + 1, leader)
+        for q in range(chain.horizon + 2, chain.horizon + 6):
+            assert chain.transitions(q, leader) == row
+
+
+def test_two_identity_shill_builds_one_row_table_per_chain_and_leader(monkeypatch):
+    # the budget of 3,000 keeps the solve going for some 3,400 bids, far
+    # past the horizon of 397, after which both chains repeat their led rows
+    calls = 0
+    row_table = TwoGroupChain.row_table
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return row_table(*args)
+
+    monkeypatch.setattr(TwoGroupChain, "row_table", spy)
+    shill_profit(ASC, ShillPolicy(1.0, 3000, 2))
+    assert calls == 4
+
+
 def stepped_counted(spec, model):
     """The counted-player occupancy one bid at a time, the reference for the
     chunked stepper: (wins and index-weighted wins per leader and count, the
@@ -592,7 +632,7 @@ def assert_counted_matches_the_loop(monkeypatch, spec, kind, x):
             yield rows
 
     monkeypatch.setattr(asymmetry_models, "_counted_rows", spy)
-    got = _counted_occupancy(spec, model)
+    got = _counted_occupancy(model)
     assert got.wins == pytest.approx(wins, rel=1e-12, abs=0)
     assert got.indexed_wins == pytest.approx(indexed, rel=1e-12, abs=0)
     # the stepper reads no chunk past the one holding the stopping step
@@ -625,7 +665,7 @@ def test_lone_counted_player_places_at_most_q_plus_two_bids():
     model = counted_case(spec, "committed", 3.0)
     wins, indexed, _, _ = stepped_counted(spec, model)
     assert wins.shape == (2, 28)
-    got = _counted_occupancy(spec, model)
+    got = _counted_occupancy(model)
     width = int(max_bids(spec)) + 3
     assert got.wins.shape == got.indexed_wins.shape == (2, width)
     # the uncapped reference puts no mass there
@@ -642,7 +682,7 @@ def test_expected_payoffs_match_the_brute_force_ends(spec, kind, x):
     # the mean end of each (leader, count) cell prices it exactly
     model = counted_case(spec, kind, x)
     _, _, want, _ = stepped_counted(spec, model)
-    got, notes = asymmetry_models._expected(spec, model)
+    got, notes = asymmetry_models._expected(model)
     assert notes == ()
     assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
@@ -668,8 +708,8 @@ def test_fixed_price_committed_sweep_ends_with_its_live_mass():
             raise AssertionError("the stop rule was asked more than 10^5 times")
         return model.bids(count, q)
 
-    got = _counted_occupancy(FIX, model._replace(bids=bids))
-    want = _counted_occupancy(FIX, _committed_model(FIX, 1e3))
+    got = _counted_occupancy(model._replace(bids=bids))
+    want = _counted_occupancy(_committed_model(FIX, 1e3))
     assert got.wins.shape[1] < 10_000
     np.testing.assert_array_equal(got.wins, want.wins)
     np.testing.assert_array_equal(got.indexed_wins, want.indexed_wins)

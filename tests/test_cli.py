@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -266,9 +267,16 @@ def usage_error(capsys, argv):
      "scenario 'mixed' with v=1e308: currency amount out of range"),
     (["analyze", "--scenario", "underestimate", "--set", "k=48", "--set", "v=1e7"],
      "scenario 'underestimate' with k=48 v=1e7: the expected revenue overflows a float"),
+    (["analyze", "--scenario", "uncertain", "--set", "belief=30:nan,70:0.5"],
+     "scenario 'uncertain' with belief=30:nan,70:0.5: belief weights must be nonnegative"),
+    (["analyze", "--scenario", "uncertain", "--set", "belief=30:0.5,70"],
+     "scenario 'uncertain' with belief=30:0.5,70: belief entry needs size:weight"),
+    (["analyze", "--scenario", "uncertain", "--set", "belief=abc:0.5,70:0.5"],
+     "scenario 'uncertain' with belief=abc:0.5,70:0.5: "),
 ], ids=["underestimate-k", "uncertain-spread", "sweep-spread", "sweep-ring", "simulate-mixed",
         "variant", "coordination", "alpha-inf", "alpha-nan", "simulate-alpha-nan", "value-inf",
-        "value-nan", "value-out-of-range", "revenue-overflow"])
+        "value-nan", "value-out-of-range", "revenue-overflow", "belief-nan", "belief-no-weight",
+        "belief-bad-size"])
 def test_model_error_is_a_one_line_usage_error(tmp_path, capsys, argv, where):
     lines = usage_error(capsys, [*argv, "--out", str(tmp_path / "x.csv")])
     assert len(lines) == 1
@@ -299,6 +307,11 @@ def test_sweep_validation(tmp_path):
         ["--param", "k", "--from", "5", "--to", "1", "--step", "1"],
         ["--param", "k", "--from", "0", "--to", "2", "--step", "0"],
         ["--param", "k", "--from", "0", "--to", "2", "--step", "0.5"],
+        ["--param", "v", "--from", "100", "--to", "nan", "--step", "1"],
+        ["--param", "v", "--from", "100", "--to", "inf", "--step", "1"],
+        ["--param", "v", "--from", "100", "--to", "200", "--step", "nan"],
+        ["--param", "k", "--from", "nan", "--to", "5", "--step", "1"],
+        ["--param", "v", "--from", "0", "--to", "1000000", "--step", "1"],
     ):
         with pytest.raises(SystemExit):
             main(base + extra + ["--out", str(tmp_path / "x.csv")])
@@ -310,6 +323,12 @@ def test_sweep_values_unit():
     assert sweep_values(3, 3, 1, int) == [3]
     with pytest.raises(SystemExit):
         sweep_values(0, 2, 0.4, int)
+    assert len(sweep_values(1, 1_000_000, 1, int)) == 1_000_000
+    # a step below the ulp of 1e20 never moves the grid on: refused as built
+    for bounds in ((0, math.nan, 1), (0, math.inf, 1), (0, 1, math.nan), (math.nan, 5, 1),
+                   (0, 1_000_000, 1), (3, 3, 1e-300), (1e20, 1e20, 0.001)):
+        with pytest.raises(SystemExit):
+            sweep_values(*bounds, int if bounds == (math.nan, 5, 1) else float)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +355,12 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert "# seed=9" in first
     reseeded = run(tmp_path, *argv[:-1], "10", name="c")
     assert reseeded != first
+
+
+def test_uncertain_reads_an_explicit_belief(tmp_path):
+    text = run(tmp_path, "analyze", "--scenario", "uncertain", "--set", "spread=5",
+               "--set", "belief=30:0.5,70:0.5", fmt="json")
+    assert json.loads(text)["rows"] == [_expected_uncertain()]
 
 
 def test_simulate_uncertain_has_no_monte_carlo(tmp_path):

@@ -25,7 +25,8 @@ from paybid.markov_engine import (
     expected_revenue_from_series,
     first_bid_distribution,
 )
-from paybid.asymmetry_models import mixed_estimates_chain, underestimate_chain
+from paybid.asymmetry_models import (ShillPolicy, _committed_model, mixed_estimates_chain,
+                                     shill_chain, underestimate_chain)
 
 
 def test_uniform_row_by_exhaustive_enumeration():
@@ -290,6 +291,23 @@ def test_recurrence_blocks_match_the_step_by_step_loop(caplog, make, cap, steps)
     assert capped == (cap == "max_steps")
     warned = [r for r in caplog.records if "max_steps" in r.getMessage()]
     assert len(warned) == capped
+    assert bool(series.notes) == capped
+
+
+ASC = AuctionSpec.ascending(100, 1, 0.25, 50)
+
+
+@pytest.mark.parametrize("chain", [shill_chain(ASC, ShillPolicy(1.0, 5, 2)).active,
+                                   _committed_model(ASC, 1.5).bidding],
+                         ids=["shill-identities2-active", "committed-bidding"])
+def test_recurrence_past_the_horizon_matches_the_step_by_step_loop(chain):
+    # the two-identity shill outbids itself forever, so the recurrence steps
+    # on past the horizon, Q + 1 = 397, into the repeated rows until the cap
+    want, residual, _, capped = stepped_recurrence(chain, max_steps=2000)
+    series = evolve_recurrence(chain, max_steps=2000)
+    got = np.array([series.p_a, series.p_b, series.end_a, series.end_b])
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert series.residual == pytest.approx(residual, rel=1e-12)
     assert bool(series.notes) == capped
 
 

@@ -278,8 +278,8 @@ def test_counted_simulation_matches_the_exact_expectation(spec, build):
     model = build(spec)
     trials = 20_000
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(22)))
-    sims = _simulate_model(spec, model, trials, rng, 1_000_000)
-    exact, _ = _expected(spec, model)
+    sims = _simulate_model(model, trials, rng, 1_000_000)
+    exact, _ = _expected(model)
     for sim, want in zip(sims, exact, strict=True):
         assert sim.mean() == pytest.approx(want, rel=1e-12,
                                            abs=3 * sim.std(ddof=1) / math.sqrt(trials))
