@@ -24,12 +24,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .core_model import AuctionSpec, _bid_prob, max_bids, symmetric_beta
-from .markov_engine import _MAX_STEPS, BetaFn, TransitionRow, TwoGroupChain, _leader_tables
+from .markov_engine import (_MAX_STEPS, BetaFn, TransitionRow, TwoGroupChain, _blocking,
+                            _led_block, _leader_tables)
 
 __all__ = [
     "GroupProfile",
@@ -559,10 +561,14 @@ def shill_chain(spec: AuctionSpec, policy: ShillPolicy) -> ShillPhases:
     """
     if policy.bid_budget < 1:
         raise ValueError("a chain needs a shill that bids at least once")
-    n = spec.population
-    active, spent = _counted_chains(spec, n, n + policy.identities, 0.0,
-                                    "uniform" if policy.identities == 1 else "single_ticket")
+    active, spent = _counted_chains(*_shill_key(spec, policy.identities))
     return ShillPhases(active=active, spent=spent, bid_budget=policy.bid_budget)
+
+
+def _shill_key(spec: AuctionSpec, identities: int) -> tuple:
+    """The arguments of _counted_chains for a shill of that many identities."""
+    n = spec.population
+    return spec, n, n + identities, 0.0, "uniform" if identities == 1 else "single_ticket"
 
 
 def _shill_model(spec: AuctionSpec, policy: ShillPolicy) -> _CountedModel | str:
@@ -573,14 +579,14 @@ def _shill_model(spec: AuctionSpec, policy: ShillPolicy) -> _CountedModel | str:
     when a legitimate player wins; when the shill wins the house keeps it."""
     if policy.bid_budget == 0 or policy.entry_prob == 0.0:
         return "shill never bids"
-    phases = shill_chain(spec, policy)
     budget = policy.bid_budget
 
     def outcome(a_won, own, total):
         final_price = spec.increment * total if spec.is_ascending else spec.price
         return spec.fee * (total - own) + (final_price - spec.value) * ~a_won, a_won, own
 
-    return _CountedModel(phases.active, phases.spent, lambda count, q: count < budget, outcome)
+    return _counted_model(_shill_key(spec, policy.identities), lambda count, q: count < budget,
+                          outcome)
 
 
 def shill_profit(spec: AuctionSpec, policy: ShillPolicy) -> ShillOutcome:
@@ -690,8 +696,8 @@ def _committed_model(spec: AuctionSpec, alpha: float) -> _CountedModel | str:
                 (b * total + price - v) + np.where(a_won, 0.0, (retail - own * b) - v),
                 a_won, total)
 
-    return _CountedModel(*_counted_chains(spec, spec.population - 1, spec.population, spec.fee,
-                                          "uniform"), bids, outcome)
+    return _counted_model((spec, spec.population - 1, spec.population, spec.fee, "uniform"),
+                          bids, outcome)
 
 
 def _counted_chains(spec: AuctionSpec, rivals: int, perceived: int, fee_a: float,
@@ -701,7 +707,14 @@ def _counted_chains(spec: AuctionSpec, rivals: int, perceived: int, fee_a: float
 
     A bids with probability one in the first chain and never in the second.
     The rivals best-respond to a symmetric world of `perceived` players in
-    the first and of the true population in the second.
+    the first and of the true population in the second. Both chains depend
+    on these arguments alone, never on a budget, an entry probability or a
+    backstop, so their rows are kept in a one-entry memo keyed on the
+    arguments (_counted_tables): the opening row, the stationary kernels,
+    and per chain and leader the first row block and the led rows past the
+    horizon. One entry is what a sweep over one player's budget or backstop
+    reuses; a round that takes several players in turn builds each one's
+    rows anew. The chains themselves are built fresh on every call.
     """
     def chain(a_bids: float, world: int) -> TwoGroupChain:
         return _chain(spec, group_a_size=1, group_b_size=rivals,
@@ -737,6 +750,85 @@ class _CountedModel(NamedTuple):
     silent: TwoGroupChain
     bids: Callable
     outcome: Callable
+    key: tuple  # the arguments of _counted_chains that built the two chains
+
+
+def _counted_model(key: tuple, bids: Callable, outcome: Callable) -> _CountedModel:
+    """A counted player on the chains of _counted_chains(*key)."""
+    return _CountedModel(*_counted_chains(*key), bids, outcome, key)
+
+
+class _CountedRows:
+    """The rows of a counted player's two chains, bidding then silent, that
+    its stop rule does not touch, under the model's key. Each part is built
+    on its first read, from the chains of the model it was made for, and is
+    read-only."""
+
+    def __init__(self, model: _CountedModel):
+        self.key, self.chains = model.key, (model.bidding, model.silent)
+
+    @cached_property
+    def opening(self) -> TransitionRow:
+        """The bidding chain's opening row."""
+        return self.chains[0].opening_row()
+
+    @cached_property
+    def kernels(self) -> tuple:
+        """Each chain's stationary kernel as TransitionRows (fixed price)."""
+        return tuple(tuple(TransitionRow(*row) for row in chain._kernel().tolist())
+                     for chain in self.chains)
+
+    @cached_property
+    def firsts(self) -> tuple:
+        """Each chain's first block of _leader_tables."""
+        firsts = tuple(next(_leader_tables(chain)) for chain in self.chains)
+        for first in firsts:
+            first.setflags(write=False)
+        return firsts
+
+    @cached_property
+    def leds(self) -> tuple:
+        """Each chain's led rows past its horizon, as one broadcast block."""
+        return tuple(_led_block(chain) for chain in self.chains)
+
+
+# The _CountedRows of the most recent counted player, if any. It has one
+# entry: a sweep over a budget, a backstop or an entry probability builds
+# the rows once, while a round over several players (shill of one and of two
+# identities, committed player, on each variant) still builds each player's
+# anew. However long the horizon, it holds one block per chain and leader;
+# _leader_blocks streams the blocks past it.
+_counted_memo: list = []
+
+
+def _counted_tables(model: _CountedModel) -> _CountedRows:
+    """The model's _CountedRows: the memo's if its key is the model's, else
+    a new entry on the model's chains, which replaces it."""
+    for rows in _counted_memo[-1:]:
+        if rows.key == model.key:
+            return rows
+    rows = _CountedRows(model)
+    _counted_memo[:] = [rows]
+    return rows
+
+
+def _leader_blocks(model: _CountedModel) -> Iterator[tuple]:
+    """_leader_tables of the bidding and the silent chain in step, one
+    (bidding, silent) pair of blocks at a time, the first block and the led
+    rows read from the memo (_counted_tables). Blocks between the first and
+    the horizon are built as they are read and are not kept."""
+    rows = _counted_tables(model)
+
+    def blocks(i: int) -> Iterator[np.ndarray]:
+        yield rows.firsts[i]
+        chain = rows.chains[i]
+        horizon, block = _blocking(chain)
+        if horizon is None or 2 + block <= horizon:
+            yield from _leader_tables(chain, 2 + block)
+        else:
+            yield from itertools.repeat(rows.leds[i])
+
+    return zip(blocks(0), blocks(1))
 
 
 class _CountedOccupancy(NamedTuple):
@@ -769,9 +861,9 @@ def _expected(model: _CountedModel) -> tuple[tuple, tuple]:
 def _counted_occupancy(model: _CountedModel) -> _CountedOccupancy:
     """Solve a counted-player chain: one sweep over the count at a fixed
     price, where rows and predicate ignore the bid index, else bid by bid."""
-    bidding, silent, bids, _ = model
+    bidding, bids = model.bidding, model.bids
     if bidding.time_homogeneous:
-        return _counted_by_level(bidding, silent, bids)
+        return _counted_by_level(model)
     # A never holds more bids than the first count at which it passes on
     # bid 2, since the predicate only shrinks with q; the opening gives it
     # one. A lone A under the uniform rule cannot outbid itself, so each of
@@ -779,11 +871,10 @@ def _counted_occupancy(model: _CountedModel) -> _CountedOccupancy:
     # the horizon, bid Q+1: it places at most Q+2 bids.
     cap = bidding.horizon + 1 if bidding.tie_rule == "uniform" else math.inf
     top = next(c for c in itertools.count(1) if c >= cap or not bids(c, 2))
-    return _counted_by_bid_index(bidding, silent, bids, top)
+    return _counted_by_bid_index(model, top)
 
 
-def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
-                      bids: Callable) -> _CountedOccupancy:
+def _counted_by_level(model: _CountedModel) -> _CountedOccupancy:
     """Fixed-price occupancy as one forward sweep over A's count c.
 
     Level c holds (A leads, c) and (B leads, c), on the bidding chain's rows
@@ -796,11 +887,11 @@ def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
     solves M (I - P) = N, the same sweep with N as its source. The sweep
     also ends once the mass lifted into the next level is below
     _LIVE_MASS_TOL, so a backstop far past the reachable counts costs
-    nothing.
+    nothing. Both kernels come from the memo (_counted_tables).
     """
     # [opening, A leads, B leads]; A bids the opening surely, so its absorb == 0
-    (_, *silent_rows), (opening, *bidding_rows) = (
-        [TransitionRow(*row) for row in chain._kernel().tolist()] for chain in (silent, bidding))
+    (opening, *bidding_rows), (_, *silent_rows) = _counted_tables(model).kernels
+    bids = model.bids
     levels = []  # per level: wins and index-weighted wins, each of A then B
     lifted_n = lifted_m = 0.0  # occupancy and index-weighted occupancy lifted into level c
     for c in itertools.count():
@@ -819,8 +910,7 @@ def _counted_by_level(bidding: TwoGroupChain, silent: TwoGroupChain,
             return _CountedOccupancy(*np.array(levels).T.reshape(2, 2, -1))
 
 
-def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
-                          top: int) -> _CountedOccupancy:
+def _counted_by_bid_index(model: _CountedModel, top: int) -> _CountedOccupancy:
     """Ascending occupancy stepped bid by bid over (leader, A's count)
     arrays, until the live mass drops below _LIVE_MASS_TOL.
 
@@ -838,7 +928,7 @@ def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: C
     Slot top + 1 takes A's lift out of count top, which is 0 (A is silent
     there), and is never read.
     """
-    opening = bidding.opening_row()  # A bids surely, so absorb == 0
+    opening = _counted_tables(model).opening  # A bids surely, so absorb == 0
     width = top + 1
     slots = np.zeros((_MERGE_CHUNK + 1, 2 * (width + 1)))  # [r]: live before step t + r
     occupancy = slots.reshape(-1, 2, width + 1)[:, :, :width]  # [r, leader, count]
@@ -850,7 +940,7 @@ def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: C
     wins, indexed = np.zeros((2, width)), np.zeros((2, width))
     notes = ()
     t = 1  # the step the chunk starts at
-    for rows in _counted_rows(bidding, silent, bids, top):
+    for rows in _counted_rows(model, top):
         n = min(len(rows), _MAX_STEPS - t + 1)
         for source, kernel, moved in zip(sources[:n], rows[:n, :, :2], after[1:n + 1]):
             np.multiply(source, kernel, flows)
@@ -875,19 +965,23 @@ def _counted_by_bid_index(bidding: TwoGroupChain, silent: TwoGroupChain, bids: C
     return _CountedOccupancy(wins, indexed, notes)
 
 
-def _counted_rows(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable, top: int):
+def _counted_rows(model: _CountedModel, top: int):
     """Rows in force at q = 2, 3, ... without end, one rows[q, leader,
     to_a/to_b/absorb, count] array per chunk of up to _MERGE_CHUNK bid
     indices: the bidding chain's where the predicate holds, the silent
     chain's elsewhere.
 
-    Each chain's rows come a block at a time (_leader_tables; the two share
-    a horizon, so their blocks line up); they are merged a chunk at a time,
-    which keeps the merged array small however many counts there are.
+    Each chain's rows come a block at a time (_leader_blocks; the two
+    chains share a horizon, so their blocks line up): the first block and
+    the led rows past the horizon out of the one-entry row memo, keyed on
+    the _counted_chains arguments, so the points of a sweep over the budget
+    or the backstop build them once, and any blocks between streamed and
+    dropped. They are merged a chunk at a time, which keeps the merged
+    array small however many counts there are.
     """
-    counts = np.arange(top + 1)
+    bids, counts = model.bids, np.arange(top + 1)
     q = 2
-    for pair in zip(_leader_tables(bidding), _leader_tables(silent)):
+    for pair in _leader_blocks(model):
         # tables[chain][r, leader, to_a/to_b/absorb, 0] for bid index q + r
         tables = [table.transpose(2, 0, 1)[..., None] for table in pair]
         block = len(tables[0])

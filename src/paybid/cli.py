@@ -434,8 +434,9 @@ def sweep_values(start: float, stop: float, step: float, kind: type) -> list:
     """Inclusive grid from start to stop; integer parameters must land on ints.
 
     A grid of more than _MAX_SWEEP_POINTS points is refused, counted from the
-    bounds before any point is built, and again while they are built, where
-    a step below the ulp of start stalls start + i * step.
+    bounds before any point is built, and again while they are built. So is
+    a grid with a point equal to the one before it, which a step below the
+    ulp of the start makes (start + i * step rounds back to the last point).
     """
     if not all(math.isfinite(x) for x in (start, stop, step)):
         _usage_error("--from, --to and --step must be finite")
@@ -455,9 +456,12 @@ def sweep_values(start: float, stop: float, step: float, kind: type) -> list:
             rounded = round(raw)
             if abs(raw - rounded) > 1e-9:
                 _usage_error(f"parameter grid value {raw} is not an integer")
-            values.append(int(rounded))
+            value = int(rounded)
         else:
-            values.append(float(raw))
+            value = float(raw)
+        if values and value == values[-1]:
+            _usage_error(f"--step {step} is too small to move the grid past {value}")
+        values.append(value)
     else:
         _usage_error(too_many)
     if not values:

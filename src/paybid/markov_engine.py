@@ -399,21 +399,34 @@ class OccupancySeries:
 _MAX_STEPS = 10_000_000
 
 
-def _leader_tables(chain: TwoGroupChain) -> Iterator[np.ndarray]:
-    """Rows out of A's and B's leads at q = 2, 3, ..., without end, as one
+def _leader_tables(chain: TwoGroupChain, q: int = 2) -> Iterator[np.ndarray]:
+    """Rows out of A's and B's leads at q, q + 1, ..., without end, as one
     [A/B leads, to_a/to_b/absorb, r] array per block of min(chain.horizon,
     _ROW_BLOCK) bid indices: a row table per leader while the block starts
     at or before the horizon (1 for a time-homogeneous chain), then one
-    array of the led rows at horizon + 1, repeated.
+    array of the led rows at horizon + 1, repeated. q is 2, or 2 plus whole
+    blocks to resume after blocks already read.
     """
-    horizon = 1 if chain.time_homogeneous else chain.horizon
-    block = min(chain.horizon or _ROW_BLOCK, _ROW_BLOCK)
-    q = 2
+    horizon, block = _blocking(chain)
     while horizon is None or q <= horizon:
         yield np.array([chain.row_table(leader, q, q + block) for leader in ("A", "B")])
         q += block
+    yield from itertools.repeat(_led_block(chain))
+
+
+def _blocking(chain: TwoGroupChain) -> tuple[Optional[int], int]:
+    """(horizon, block) of _leader_tables: the horizon its row tables stop
+    at, and the bid indices per block."""
+    horizon = 1 if chain.time_homogeneous else chain.horizon
+    return horizon, min(chain.horizon or _ROW_BLOCK, _ROW_BLOCK)
+
+
+def _led_block(chain: TwoGroupChain) -> np.ndarray:
+    """The led rows at horizon + 1 as one block of _leader_tables, a
+    read-only broadcast of a single [A/B leads, to_a/to_b/absorb] array."""
+    horizon, block = _blocking(chain)
     led = chain._kernel(((horizon + 1, "A"), (horizon + 1, "B")))
-    yield from itertools.repeat(np.repeat(led[:, :, None], block, axis=2))
+    return np.broadcast_to(led[:, :, None], led.shape + (block,))
 
 
 def _prefix_products(kernels: np.ndarray) -> np.ndarray:

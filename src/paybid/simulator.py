@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .asymmetry_models import CommittedPolicy, _committed_model, _shill_model
+from .asymmetry_models import (CommittedPolicy, _committed_model, _counted_tables, _leader_blocks,
+                               _shill_model)
 from .core_model import AuctionSpec, symmetric_beta
-from .markov_engine import TwoGroupChain, _leader_tables
+from .markov_engine import TransitionRow, TwoGroupChain, _leader_tables
 
 __all__ = [
     "PlayerPolicy",
@@ -64,10 +65,15 @@ class PlayerPolicy:
 
 
 def symmetric_policies(spec: AuctionSpec) -> list[PlayerPolicy]:
-    """The n symmetric equilibrium players of spec."""
+    """The n symmetric equilibrium players of spec. They share the last
+    (q, first) asked for and its beta, so the players of one round cost one
+    symmetric_beta call, not one each."""
+    last = [None, 0.0]
 
     def proto(q: int, first: bool, spend: float) -> float:
-        return symmetric_beta(spec, q, first_bid=first)
+        if last[0] != (q, first):
+            last[:] = (q, first), symmetric_beta(spec, q, first_bid=first)
+        return last[1]
 
     return [PlayerPolicy(bid_probability=proto, fee=spec.fee) for _ in range(spec.population)]
 
@@ -234,7 +240,8 @@ def simulate_chain(
         raise ValueError("need at least one trial")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     success, winner_a, bids_a, total_bids = _simulate_counted(
-        chain, chain, lambda count, q: True, trials, rng, max_rounds)
+        chain.opening_row(), ((table, table) for table in _leader_tables(chain)),
+        lambda count, q: True, trials, rng, max_rounds)
     successes = int(success.sum())
     if successes == 0:
         raise RuntimeError("no trial received an opening bid")
@@ -268,23 +275,26 @@ def simulate_chain(
 _MAX_SHILL_ROUNDS = 1_000_000
 
 
-def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Callable,
+def _simulate_counted(opening: TransitionRow, blocks: Iterator[tuple], bids: Callable,
                       trials: int, rng: np.random.Generator,
                       max_rounds: int) -> tuple[np.ndarray, ...]:
     """Lockstep trials of a two-group chain whose rows switch on A's count.
 
     Each trial counts group A's placed bids. The opening bid is drawn
-    against bidding.opening_row(); every later round each live trial draws
-    one uniform against its leader's row at the current bid index, in the
-    chain its count puts in force (the bidding chain while bids(count, q)
-    holds, the silent one otherwise), the rows evolve_recurrence and the
+    against the opening row; every later round each live trial draws one
+    uniform against its leader's row at the current bid index, in the chain
+    its count puts in force (the bidding chain while bids(count, q) holds,
+    the silent one otherwise), the rows evolve_recurrence and the
     counted-player solvers step over: below absorb the auction ends, below
     absorb + to_a group A places the bid, otherwise group B does. Rows come
-    a block at a time (_leader_tables; the two chains share a horizon).
-    Returns, per trial, whether the auction opened, whether A won, A's bids
-    and all bids.
+    a block at a time, as (bidding, silent) pairs of _leader_tables blocks:
+    a lone chain's own, or a counted player's from
+    asymmetry_models._leader_blocks, whose opening row, first block and led
+    rows come out of a one-entry memo keyed on the _counted_chains
+    arguments, so a sweep over one player's budget or backstop builds them
+    once and the next player builds its own. Returns, per trial, whether
+    the auction opened, whether A won, A's bids and all bids.
     """
-    opening = bidding.opening_row()
     u = rng.random(trials)
     success = u >= opening.absorb
     live = np.flatnonzero(success)
@@ -294,9 +304,8 @@ def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Calla
     bids_a = np.zeros(trials, dtype=np.int64)
     total_bids = np.zeros(trials, dtype=np.int64)
     # each step's rows[2 * (A bids) + (A leads), to_a/to_b/absorb]
-    pairs = zip(_leader_tables(silent), _leader_tables(bidding))
-    rows = (by_state for pair in pairs
-            for by_state in np.concatenate([table[::-1] for table in pair]).transpose(2, 0, 1))
+    rows = (by_state for bidding, silent in blocks
+            for by_state in np.concatenate((silent[::-1], bidding[::-1])).transpose(2, 0, 1))
     for t, by_state in enumerate(rows, start=1):
         if t > max_rounds:
             raise RuntimeError(f"simulation exceeded {max_rounds} rounds")
@@ -320,9 +329,11 @@ def _simulate_counted(bidding: TwoGroupChain, silent: TwoGroupChain, bids: Calla
 def _simulate_model(model, trials: int, rng: np.random.Generator, max_rounds: int) -> tuple:
     """Per-trial payoffs of a counted player declared by an asymmetry model
     (_shill_model, _committed_model): _simulate_counted runs its chains and
-    stop rule, and the model's outcome prices each finished trial."""
-    _, won, own, total = _simulate_counted(model.bidding, model.silent, model.bids, trials, rng,
-                                           max_rounds)
+    stop rule, its opening row and first row blocks read from the row memo
+    (asymmetry_models._counted_tables), and the model's outcome prices each
+    finished trial."""
+    _, won, own, total = _simulate_counted(_counted_tables(model).opening, _leader_blocks(model),
+                                           model.bids, trials, rng, max_rounds)
     return model.outcome(won, own, total)
 
 

@@ -36,6 +36,7 @@ from paybid.asymmetry_models import (
 )
 from paybid.asymmetry_models import (_MERGE_CHUNK, _committed_model, _counted_occupancy,
                                      _shill_model)
+from paybid.simulator import ShillSim, simulate_shill
 
 FIX = AuctionSpec.fixed_price(100, 1, 0, 50)
 ASC = AuctionSpec.ascending(100, 1, 0.25, 50)
@@ -538,6 +539,7 @@ def test_counted_solvers_build_row_tables_in_bounded_blocks(monkeypatch, solve):
         spans.append(q_stop - q_start)
         return row_table(chain, leader, q_start, q_stop)
 
+    asymmetry_models._counted_memo.clear()
     monkeypatch.setattr(TwoGroupChain, "row_table", spy)
     solve(AuctionSpec.ascending(30, 1, 0.01, 10))
     assert spans and max(spans) <= _ROW_BLOCK
@@ -572,9 +574,91 @@ def test_two_identity_shill_builds_one_row_table_per_chain_and_leader(monkeypatc
         calls += 1
         return row_table(*args)
 
+    asymmetry_models._counted_memo.clear()
     monkeypatch.setattr(TwoGroupChain, "row_table", spy)
     shill_profit(ASC, ShillPolicy(1.0, 3000, 2))
     assert calls == 4
+
+
+def count_kernels(monkeypatch) -> list:
+    """Spy on TwoGroupChain._kernel, which every row passes through: the
+    list gets one entry per call."""
+    calls = []
+    kernel = TwoGroupChain._kernel
+
+    def spy(chain, *args):
+        calls.append(args)
+        return kernel(chain, *args)
+
+    monkeypatch.setattr(TwoGroupChain, "_kernel", spy)
+    return calls
+
+
+def memo_arrays() -> list:
+    """The row blocks of the counted row memo's one entry: the first block
+    and the led rows of each chain."""
+    (rows,) = asymmetry_models._counted_memo
+    return [*rows.firsts, *rows.leds]
+
+
+@pytest.mark.parametrize("spec", [FIX, ASC], ids=["FIX", "ASC"])
+@pytest.mark.parametrize("call, first, then", [
+    (lambda spec, x: shill_profit(spec, ShillPolicy(1.0, x)), 50, 5),
+    (lambda spec, x: shill_profit(spec, ShillPolicy(0.5, x, 2)), 50, 10),
+    (lambda spec, x: committed_player_profit(spec, CommittedPolicy(x)), 3.0, 1.1),
+    (lambda spec, x: simulate_shill(spec, ShillPolicy(1.0, x), 2000, 7), 50, 5),
+], ids=["shill", "shill-identities2", "committed", "simulate-shill"])
+def test_a_counted_sweep_builds_its_rows_once(monkeypatch, spec, call, first, then):
+    # the rows depend on the spec and the identities, never on the budget,
+    # the entry probability or the backstop: a second point of a sweep
+    # reads them all from the memo and equals a solve from empty rows
+    asymmetry_models._counted_memo.clear()
+    call(spec, first)
+    kernels = count_kernels(monkeypatch)
+    warm = call(spec, then)
+    assert kernels == []
+    asymmetry_models._counted_memo.clear()
+    cold = call(spec, then)
+    assert kernels
+    if isinstance(warm, ShillSim):
+        for field in ("profits", "shill_won", "entered"):
+            np.testing.assert_array_equal(getattr(warm, field), getattr(cold, field))
+    else:
+        assert repr(warm) == repr(cold)
+
+
+@pytest.mark.parametrize("other", [
+    lambda: shill_profit(AuctionSpec.ascending(100, 1, 0.25, 40), ShillPolicy(1.0, 5)),
+    lambda: shill_profit(ASC, ShillPolicy(1.0, 5, 2)),
+    lambda: shill_profit(FIX, ShillPolicy(1.0, 5)),
+    lambda: committed_player_profit(ASC, CommittedPolicy(1.5)),
+], ids=["spec", "identities", "variant", "committed"])
+def test_another_counted_player_builds_fresh_read_only_rows(monkeypatch, other):
+    shill_profit(ASC, ShillPolicy(1.0, 5))
+    kernels = count_kernels(monkeypatch)
+    other()
+    assert kernels
+    assert len(asymmetry_models._counted_memo) == 1
+    for array in memo_arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 0.5
+
+
+def test_the_counted_memo_keeps_one_block_on_a_long_horizon():
+    # the horizon is 99,901 bid indices: the solve streams some thirty
+    # blocks, and the memo keeps the first of each chain, not the rest
+    spec = AuctionSpec.ascending(1000, 1, 0.01, 50)
+    asymmetry_models._counted_memo.clear()
+    shill_profit(spec, ShillPolicy(1.0, 10))
+    (rows,) = asymmetry_models._counted_memo
+    assert rows.key[0] == spec and shill_chain(spec, ShillPolicy(1.0, 10)).active.horizon == 99_901
+    owners = {}
+    for array in memo_arrays():
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        owners[id(array)] = array.nbytes
+    # a block of rows per chain and leader, and nothing else of note
+    assert sum(owners.values()) <= 2 * 2 * 3 * _ROW_BLOCK * 8 + 1024
 
 
 def stepped_counted(spec, model):
@@ -582,7 +666,7 @@ def stepped_counted(spec, model):
     chunked stepper: (wins and index-weighted wins per leader and count, the
     brute-force expectation of model.outcome over every (leader, count, bid
     index) end, the step it stopped at)."""
-    bidding, silent, bids, outcome = model
+    bidding, silent, bids, outcome, _ = model
     top = next(c for c in itertools.count(1) if not bids(c, 2))
     steps = int(max_bids(spec)) + top + 2  # every bidder has stopped by then
     tables = [{leader: np.array(chain.row_table(leader, 2, 2 + steps)) for leader in "AB"}

@@ -326,7 +326,7 @@ def test_sweep_values_unit():
     assert len(sweep_values(1, 1_000_000, 1, int)) == 1_000_000
     # a step below the ulp of 1e20 never moves the grid on: refused as built
     for bounds in ((0, math.nan, 1), (0, math.inf, 1), (0, 1, math.nan), (math.nan, 5, 1),
-                   (0, 1_000_000, 1), (3, 3, 1e-300), (1e20, 1e20, 0.001)):
+                   (0, 1_000_000, 1), (3, 3, 1e-300), (1e20, 1e20, 0.001), (1e20, 1e20, 1)):
         with pytest.raises(SystemExit):
             sweep_values(*bounds, int if bounds == (math.nan, 5, 1) else float)
 

@@ -21,6 +21,7 @@ from paybid.simulator import (
     symmetric_policies,
 )
 from paybid.simulator import _simulate_model
+from paybid import simulator
 
 SMALL = AuctionSpec.ascending(10, 1, 1, 5)
 FIX = AuctionSpec.fixed_price(100, 1, 0, 50)
@@ -45,6 +46,33 @@ def test_single_trial_is_reproducible():
     assert one.winner == two.winner
     assert one.total_bids == two.total_bids
     assert np.array_equal(one.per_player_spend, two.per_player_spend)
+
+
+@pytest.mark.parametrize("spec", [SMALL, FIX], ids=["ascending", "fixed"])
+def test_symmetric_players_share_one_beta_per_round(monkeypatch, spec):
+    # each round asks every contender for its bid probability; the players
+    # share the round's beta, so a trial costs one symmetric_beta call per
+    # round, bids placed plus the silent last one, with the same draws
+    def unshared(q, first, spend):
+        return simulator.symmetric_beta(spec, q, first)
+
+    players = [PlayerPolicy(unshared, spec.fee) for _ in range(spec.population)]
+    want = [simulate_one(spec, players, seed, record_trajectory=True) for seed in range(5)]
+    calls = []
+    beta = simulator.symmetric_beta
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return beta(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "symmetric_beta", spy)
+    for seed, expected in enumerate(want):
+        calls.clear()
+        got = simulate_one(spec, symmetric_policies(spec), seed, record_trajectory=True)
+        assert len(calls) == got.total_bids + 1
+        assert (got.winner, got.total_bids, got.revenue, got.trajectory) == (
+            expected.winner, expected.total_bids, expected.revenue, expected.trajectory)
+        np.testing.assert_array_equal(got.per_player_spend, expected.per_player_spend)
 
 
 def test_no_bidders_no_winner():
